@@ -184,16 +184,17 @@ func checkDegraded(rep *campaign.Report) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+	fmt.Fprintf(os.Stderr, `usage:
   stm-campaign matrix    -t T -k K -n N [-posbudget B] [-negbudget B]   empirical Theorem 27 matrices
-  stm-campaign fuzz      -target commitadopt|consensus|cachain|kset|bg -schedules S  schedule fuzzing
-  stm-campaign exhaustive -target T -n N -depth D [-reduce=false]      every schedule up to depth D (partial-order reduced by default)
+  stm-campaign fuzz      -target NAME -schedules S                      schedule fuzzing
+  stm-campaign exhaustive -target NAME -n N -depth D [-reduce=false]   every schedule up to depth D (partial-order reduced by default)
   stm-campaign converge  -n N -k K -t T -trials R                       detector-convergence sweep
   stm-campaign relations -n N -schedules S [-gen random|starver|mixed]  timeliness-relation extraction
   stm-campaign adversarial -n N -runs R [-steps S]                      parking adversary vs the Theorem 24 solver
-  stm-campaign byzantine -target T -n N [-crash LO:HI] [-byz LO:HI] [-strategies flip,stale,split] [-runs R] [-steps S]  Byzantine degradation matrix
+  stm-campaign byzantine -target NAME -n N [-crash LO:HI] [-byz LO:HI] [-strategies flip,stale,split] [-runs R] [-steps S]  Byzantine degradation matrix
   stm-campaign netconv   -n N [-matrices sync,psync,async,mixed] [-runs R] [-steps S] [-delta D] [-gst G] [-probe P]  detector convergence over graded link matrices
   stm-campaign monitor   -n N -steps S [-every E] [-gen random|starver|mixed]  online timeliness-graph monitoring
+NAME is a fuzz target: %s.
 T, K, N accept single values ("2") or inclusive ranges ("1:3").
 Common flags: -workers W (0 = GOMAXPROCS), -seed S, -json, -jsonl FILE,
 -progress N (heartbeat to stderr every N jobs), -pprof ADDR (pprof+expvar),
@@ -215,7 +216,8 @@ coordinator — the aggregate stays bit-identical to a plain run):
 SIGINT/SIGTERM print the partial summary; with -checkpoint the exact resume
 invocation is printed on stderr.
 Exit codes: 0 clean; 1 error or property violation; 2 usage; 3 completed
-degraded (quarantined jobs); 4 interrupted with a usable checkpoint.`)
+degraded (quarantined jobs); 4 interrupted with a usable checkpoint.
+`, explore.TargetNames("|"))
 }
 
 // common holds the flags every campaign shares.
@@ -571,12 +573,11 @@ func cmdFuzz(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("fuzz", flag.ExitOnError)
 	var c common
 	c.register(fs)
-	target := fs.String("target", explore.TargetCommitAdopt, "protocol to fuzz (commitadopt|consensus|cachain|kset|bg)")
+	target := fs.String("target", explore.TargetCommitAdopt, "protocol to fuzz ("+explore.TargetNames("|")+")")
 	n := fs.Int("n", 4, "number of processes")
 	steps := fs.Int("steps", 300, "steps per schedule")
 	schedules := fs.Int("schedules", 1000, "number of schedules")
 	crashSpec := fs.String("crashes", "", "crash patterns, e.g. \"p1@3;p2@0,p4@9\" (empty = failure-free)")
-	engine := fs.String("engine", "pooled", "execution path: pooled (reused direct-dispatch runs) or fresh (coroutine run per schedule); results are bit-identical")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -589,33 +590,16 @@ func cmdFuzz(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	defer s.close()
-	// Resolve the engine and target before opening the -jsonl sink so
-	// invalid invocations don't create (and leak) the stream file.
-	var fuzz func(onResult func(campaign.Outcome)) (*campaign.Report, int, error)
-	switch *engine {
-	case "pooled":
-		build, err := explore.PooledTargetBuilder(*target, *n)
-		if err != nil {
-			return err
-		}
-		fuzz = func(onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-			return explore.FuzzPooledCampaign(s.ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, onResult)
-		}
-	case "fresh":
-		build, err := explore.TargetBuilder(*target, *n)
-		if err != nil {
-			return err
-		}
-		fuzz = func(onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-			return explore.FuzzCampaign(s.ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, onResult)
-		}
-	default:
-		return fmt.Errorf("unknown -engine %q (want pooled or fresh)", *engine)
+	// Resolve the target before opening the -jsonl sink so invalid
+	// invocations don't create (and leak) the stream file.
+	build, err := explore.PooledTargetBuilder(*target, *n)
+	if err != nil {
+		return err
 	}
 	if err := s.openSink(); err != nil {
 		return err
 	}
-	rep, runs, err := fuzz(s.sink)
+	rep, runs, err := explore.FuzzPooledCampaign(s.ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, s.sink)
 	if err = s.finish(err); err != nil {
 		var v *explore.Violation
 		if rep != nil && errors.As(err, &v) {
@@ -649,7 +633,7 @@ func cmdExhaustive(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("exhaustive", flag.ExitOnError)
 	var c common
 	c.register(fs)
-	target := fs.String("target", explore.TargetCommitAdopt, "protocol to explore (commitadopt|consensus|cachain|kset|bg)")
+	target := fs.String("target", explore.TargetCommitAdopt, "protocol to explore ("+explore.TargetNames("|")+")")
 	n := fs.Int("n", 2, "number of processes (1..4)")
 	depth := fs.Int("depth", 10, "schedule length (every schedule of exactly this depth)")
 	reduce := fs.Bool("reduce", true, "prune commutation-equivalent schedules (sleep-set partial-order reduction)")
@@ -815,7 +799,7 @@ func cmdByzantine(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("byzantine", flag.ExitOnError)
 	var c common
 	c.register(fs)
-	target := fs.String("target", explore.TargetConsensus, "workload: commitadopt|consensus|cachain|kset|bg|antiomega")
+	target := fs.String("target", explore.TargetConsensus, "workload ("+explore.TargetNames("|")+")")
 	n := fs.Int("n", 3, "number of processes")
 	crashRange := fs.String("crash", "0:1", "crash counts swept (value or lo:hi range)")
 	byzRange := fs.String("byz", "0:1", "Byzantine counts swept (value or lo:hi range)")
@@ -823,6 +807,9 @@ func cmdByzantine(ctx context.Context, args []string, w io.Writer) error {
 	runs := fs.Int("runs", 32, "runs per cell (each draws its own fault population)")
 	steps := fs.Int("steps", 100_000, "step horizon per run")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if _, err := explore.LookupTarget(*target); err != nil {
 		return err
 	}
 	crashLo, crashHi, err := parseRange(*crashRange)

@@ -6,12 +6,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/campaign"
+	"github.com/settimeliness/settimeliness/internal/explore"
 )
 
 // TestMain lets the test binary double as a stm-campaign worker process: the
@@ -155,37 +157,29 @@ func TestRelationsCampaignSmoke(t *testing.T) {
 	}
 }
 
-// TestFuzzEnginesBitIdentical drives the CLI end to end across execution
-// paths: -engine pooled (reused direct-dispatch runs) and -engine fresh
-// (coroutine run per schedule) must emit identical -json summaries for
-// every target, at several worker counts.
-func TestFuzzEnginesBitIdentical(t *testing.T) {
+// TestUnknownTargetRejected pins the target-table error on every
+// subcommand that takes -target: the table lookup's message, and no -jsonl
+// stream file left behind.
+func TestUnknownTargetRejected(t *testing.T) {
 	t.Parallel()
-	summary := func(target, engine, workers string) string {
+	_, want := explore.LookupTarget("nope")
+	for _, tc := range []struct {
+		name  string
+		cmd   func(context.Context, []string, io.Writer) error
+		extra []string
+	}{
+		{"fuzz", cmdFuzz, nil},
+		{"exhaustive", cmdExhaustive, []string{"-reduce=false"}},
+		{"byzantine", cmdByzantine, nil},
+	} {
+		path := filepath.Join(t.TempDir(), tc.name+".jsonl")
 		var out bytes.Buffer
-		err := cmdFuzz(context.Background(), []string{"-target", target, "-n", "3", "-steps", "80",
-			"-schedules", "24", "-seed", "3", "-engine", engine, "-workers", workers, "-json"}, &out)
-		if err != nil {
-			t.Fatalf("%s/%s: %v\n%s", target, engine, err, out.String())
+		err := tc.cmd(context.Background(), append([]string{"-target", "nope", "-jsonl", path}, tc.extra...), &out)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: error = %v, want %v", tc.name, err, want)
 		}
-		var rec record
-		if err := json.Unmarshal(out.Bytes(), &rec); err != nil {
-			t.Fatal(err)
-		}
-		s, err := json.Marshal(rec.Summary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(s)
-	}
-	for _, target := range []string{"commitadopt", "consensus", "cachain"} {
-		want := summary(target, "fresh", "1")
-		for _, engine := range []string{"pooled", "fresh"} {
-			for _, workers := range []string{"1", "4"} {
-				if got := summary(target, engine, workers); got != want {
-					t.Errorf("%s: engine=%s workers=%s diverges:\n%s\nvs\n%s", target, engine, workers, got, want)
-				}
-			}
+		if _, serr := os.Stat(path); !errors.Is(serr, os.ErrNotExist) {
+			t.Errorf("%s: -jsonl file left behind (stat: %v)", tc.name, serr)
 		}
 	}
 }

@@ -33,13 +33,12 @@ func newWaitMin(t *testing.T, threads, f int) *WaitMinProtocol {
 	return proto
 }
 
-// simForm selects which of the three equivalent simulator forms to run.
+// simForm selects which of the two equivalent simulator forms to run.
 type simForm int
 
 const (
 	formCoroutine simForm = iota // the coroutine reference (Algorithm)
 	formFused                    // the fused production automaton (Machine)
-	formChained                  // the chained sub-automata (ChainedMachine)
 )
 
 func snapshotSimulation(t *testing.T, m, threads int, s sched.Schedule, form simForm) bgSnapshot {
@@ -50,12 +49,9 @@ func snapshotSimulation(t *testing.T, m, threads int, s sched.Schedule, form sim
 	}
 	var snap bgSnapshot
 	scfg := sim.Config{N: m, Observer: func(info sim.StepInfo) { snap.trace = append(snap.trace, info) }}
-	switch form {
-	case formFused:
+	if form == formFused {
 		scfg.Machine = simn.Machine
-	case formChained:
-		scfg.Machine = simn.ChainedMachine
-	default:
+	} else {
 		scfg.Algorithm = simn.Algorithm
 	}
 	r, err := sim.NewRunner(scfg)
@@ -195,17 +191,13 @@ func TestSimulationMachineResetDeterminism(t *testing.T) {
 // stream to compare on this path; the observable contract is the harness
 // state, which must match the observed (allocate-per-write) run bit for
 // bit.
-func snapshotSimulationRecycled(t *testing.T, m, threads int, s sched.Schedule, form simForm) bgSnapshot {
+func snapshotSimulationRecycled(t *testing.T, m, threads int, s sched.Schedule) bgSnapshot {
 	t.Helper()
 	simn, err := New(m, newWaitMin(t, threads, m-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := simn.Machine
-	if form == formChained {
-		factory = simn.ChainedMachine
-	}
-	r, err := sim.NewRunner(sim.Config{N: m, Machine: factory})
+	r, err := sim.NewRunner(sim.Config{N: m, Machine: simn.Machine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +244,7 @@ func TestSimulationMachineRecycledMatchesObserved(t *testing.T) {
 			}
 			s := sched.Take(src, tc.steps)
 			observed := snapshotSimulation(t, tc.m, tc.threads, s, formFused)
-			recycled := snapshotSimulationRecycled(t, tc.m, tc.threads, s, formFused)
+			recycled := snapshotSimulationRecycled(t, tc.m, tc.threads, s)
 			sameBGOutcome(t, tc.name, observed, recycled)
 		})
 	}
@@ -270,7 +262,7 @@ func TestSimulationMachineRecycledResetReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sched.Take(src, 40_000)
-	fresh := snapshotSimulationRecycled(t, m, threads, s, formFused)
+	fresh := snapshotSimulationRecycled(t, m, threads, s)
 
 	simn, err := New(m, newWaitMin(t, threads, m-1))
 	if err != nil {
@@ -296,10 +288,12 @@ func TestSimulationMachineRecycledResetReuse(t *testing.T) {
 }
 
 // TestSimulationFusedMatchesChainedAndAlgorithm is the fused automaton's
-// contract: one flat state machine per simulator produces the exact StepInfo
-// stream of the chained sub-automata (propose feeding update feeding scan)
-// and of the coroutine reference — bit for bit, including crashed writers
-// mid-scan.
+// three-way contract against the coroutine reference, whose Algorithm
+// chains the safe-agreement and snapshot calls as nested coroutines: on one
+// schedule per case, the observed fused run replays the chained coroutine's
+// StepInfo stream bit for bit, and the recycled fused run (arena, leased
+// views, register groups) reaches the same harness-visible outcome —
+// including crashed writers mid-scan.
 func TestSimulationFusedMatchesChainedAndAlgorithm(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -323,20 +317,20 @@ func TestSimulationFusedMatchesChainedAndAlgorithm(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := sched.Take(src, tc.steps)
-			fused := snapshotSimulation(t, tc.m, tc.threads, s, formFused)
-			chained := snapshotSimulation(t, tc.m, tc.threads, s, formChained)
 			coro := snapshotSimulation(t, tc.m, tc.threads, s, formCoroutine)
-			sameBGSnapshot(t, tc.name+" fused vs chained", fused, chained)
+			fused := snapshotSimulation(t, tc.m, tc.threads, s, formFused)
+			recycled := snapshotSimulationRecycled(t, tc.m, tc.threads, s)
 			sameBGSnapshot(t, tc.name+" fused vs coroutine", fused, coro)
+			sameBGOutcome(t, tc.name+" recycled fused vs coroutine", recycled, coro)
 		})
 	}
 }
 
-// TestSimulationFusedRecycledMatchesChained pins the fused automaton on the
-// recycled-arena path: with no observer both machine forms run on the epoch
-// arena with leased views and register-group reuse, and must reach identical
-// harness-visible outcomes.
-func TestSimulationFusedRecycledMatchesChained(t *testing.T) {
+// TestFusedRecycledMatchesAlgorithm pins the fused automaton on the
+// recycled-arena path against the coroutine reference: with no observer the
+// machine runs on the epoch arena with leased views and register-group
+// reuse, and must reach the reference's harness-visible outcome.
+func TestFusedRecycledMatchesAlgorithm(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
 		name       string
@@ -357,17 +351,17 @@ func TestSimulationFusedRecycledMatchesChained(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := sched.Take(src, tc.steps)
-			fused := snapshotSimulationRecycled(t, tc.m, tc.threads, s, formFused)
-			chained := snapshotSimulationRecycled(t, tc.m, tc.threads, s, formChained)
-			sameBGOutcome(t, tc.name, fused, chained)
+			fused := snapshotSimulationRecycled(t, tc.m, tc.threads, s)
+			coro := snapshotSimulation(t, tc.m, tc.threads, s, formCoroutine)
+			sameBGOutcome(t, tc.name, fused, coro)
 		})
 	}
 }
 
-// TestSimulationFusedResetMatchesChained pins Reset reuse across forms: a
-// fused runner stopped mid-run, Reset, and replayed in full matches a fresh
-// chained run's StepInfo stream bit for bit.
-func TestSimulationFusedResetMatchesChained(t *testing.T) {
+// TestFusedResetMatchesAlgorithm pins Reset reuse across forms: a fused
+// runner stopped mid-run, Reset, and replayed in full matches a fresh
+// coroutine run's StepInfo stream bit for bit.
+func TestFusedResetMatchesAlgorithm(t *testing.T) {
 	t.Parallel()
 	const m, threads = 3, 5
 	src, err := sched.Random(m, 13, nil)
@@ -375,7 +369,7 @@ func TestSimulationFusedResetMatchesChained(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sched.Take(src, 40_000)
-	chained := snapshotSimulation(t, m, threads, s, formChained)
+	coro := snapshotSimulation(t, m, threads, s, formCoroutine)
 
 	simn, err := New(m, newWaitMin(t, threads, m-1))
 	if err != nil {
@@ -401,6 +395,6 @@ func TestSimulationFusedResetMatchesChained(t *testing.T) {
 		}
 		r.RunSchedule(s)
 		reused := harvest(&snap, simn, m, threads)
-		sameBGSnapshot(t, fmt.Sprintf("chained vs fused reuse round %d", round), chained, reused)
+		sameBGSnapshot(t, fmt.Sprintf("coroutine vs fused reuse round %d", round), coro, reused)
 	}
 }

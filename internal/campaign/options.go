@@ -1,10 +1,8 @@
 // The unified knob surface: every context-travelling campaign option —
 // coordinator resilience, progress heartbeats, and the flight-recorder
 // request honored by pooled-runner campaigns — collapses into one Options
-// struct applied by a single WithOptions call. The individual constructors
-// (WithResilience, WithHeartbeat, obs.WithFlight) remain as the underlying
-// primitives, but adapters and CLIs should build one Options value and
-// apply it once.
+// struct applied by a single WithOptions call, which installs each knob's
+// context value itself.
 
 package campaign
 
@@ -31,11 +29,15 @@ type Options struct {
 	Flight int
 }
 
-// WithOptions applies every configured knob of o to ctx in one call — the
-// replacement for chaining WithResilience, WithHeartbeat, and
-// obs.WithFlight by hand.
+// WithOptions applies every configured knob of o to ctx in one call. Unset
+// or invalid knobs (a nil Resilience, HeartbeatEvery < 1 or a nil Heartbeat,
+// Flight ≤ 0) leave the context untouched rather than failing mid-campaign.
 func WithOptions(ctx context.Context, o Options) context.Context {
-	ctx = WithResilience(ctx, o.Resilience)
-	ctx = WithHeartbeat(ctx, o.HeartbeatEvery, o.Heartbeat)
+	if o.Resilience != nil {
+		ctx = context.WithValue(ctx, resilienceKey{}, o.Resilience)
+	}
+	if o.HeartbeatEvery >= 1 && o.Heartbeat != nil {
+		ctx = context.WithValue(ctx, heartbeatKey{}, heartbeatCfg{every: o.HeartbeatEvery, fn: o.Heartbeat})
+	}
 	return obs.WithFlight(ctx, o.Flight)
 }

@@ -13,56 +13,47 @@ package explore
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"github.com/settimeliness/settimeliness/internal/adversary"
 	"github.com/settimeliness/settimeliness/internal/campaign"
-	"github.com/settimeliness/settimeliness/internal/kset"
 	"github.com/settimeliness/settimeliness/internal/obs"
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
-// adversarialRun is one reusable adversarial rig: the Theorem 24 solver on
-// the direct-dispatch engine plus a pooled parking adversary. Campaign
-// workers hold one rig each and replay it across crash patterns.
+// adversarialRun is one reusable adversarial rig: the kset target's
+// machine form plus a pooled parking adversary. Campaign workers hold one
+// rig each and replay it across crash patterns.
 type adversarialRun struct {
-	cfg    kset.Config
-	ag     *kset.Agreement
+	*harness
+	n      int
 	runner *sim.Runner
 	adv    *adversary.Adversary
 }
 
-// newAdversarialRun builds a rig; flightK > 0 additionally attaches a
-// flight recorder with a ring of that many steps, so a failing run can dump
-// its tail (directed runs have no replayable schedule to report).
-func newAdversarialRun(cfg kset.Config, flightK int) (*adversarialRun, error) {
-	ag, err := kset.New(cfg, nil)
+// newAdversarialRun builds a rig, with a flight recorder of flightK steps
+// when flightK > 0.
+func newAdversarialRun(n, flightK int) (*adversarialRun, error) {
+	h, err := ksetHarness(n)
 	if err != nil {
 		return nil, err
 	}
-	runner, err := sim.NewRunner(sim.Config{
-		N:       cfg.N,
-		Machine: ag.Machine(func(p procset.ID) any { return int(p) * 10 }),
-	})
+	runner, err := h.directedRunner(n, flightK, false)
 	if err != nil {
 		return nil, err
 	}
-	if flightK > 0 {
-		runner.SetFlightRecorder(sim.NewFlightRecorder(flightK))
-	}
-	adv, err := adversary.New(adversary.Config{N: cfg.N})
+	adv, err := adversary.New(adversary.Config{N: n})
 	if err != nil {
 		runner.Close()
 		return nil, err
 	}
-	return &adversarialRun{cfg: cfg, ag: ag, runner: runner, adv: adv}, nil
+	return &adversarialRun{harness: h, n: n, runner: runner, adv: adv}, nil
 }
 
 // one drives a single adversarial run with the given crash pattern and
-// returns its verdict.
+// returns its verdict: the run stops as soon as any process decides.
 func (r *adversarialRun) one(crashed procset.Set, steps int) (verdict string, err error) {
-	r.ag.Reset()
+	r.reset()
 	if err := r.runner.Reset(); err != nil {
 		return "", err
 	}
@@ -70,9 +61,14 @@ func (r *adversarialRun) one(crashed procset.Set, steps int) (verdict string, er
 		return "", err
 	}
 	_, decided := r.adv.DriveDirected(r.runner, steps, 500, func() bool {
-		return !r.ag.DecidedSet().IsEmpty()
+		for p := 1; p <= r.n; p++ {
+			if r.progress(procset.ID(p)) {
+				return true
+			}
+		}
+		return false
 	})
-	if cerr := checkKSet(r.cfg, r.ag); cerr != nil {
+	if cerr := r.check(procset.EmptySet); cerr != nil {
 		return "violation", cerr
 	}
 	if decided {
@@ -123,7 +119,7 @@ func AdversarialPooledCampaign(ctx context.Context, workers, n, steps, runs int,
 	// get them without a signature change; campaigns without the knob build
 	// recorder-free rigs and pay nothing.
 	flightK := obs.FlightK(ctx)
-	pool := campaign.NewPool(func() (*adversarialRun, error) { return newAdversarialRun(cfg, flightK) })
+	pool := campaign.NewPool(func() (*adversarialRun, error) { return newAdversarialRun(n, flightK) })
 	defer pool.Drain(func(r *adversarialRun) { r.runner.Close() })
 
 	batch := batchSize(runs)
@@ -142,17 +138,7 @@ func AdversarialPooledCampaign(ctx context.Context, workers, n, steps, runs int,
 				}
 				defer pool.Put(rig)
 				if flightK > 0 {
-					// A panicking run never reaches the violation path below;
-					// dump the recorded tail to stderr before unwinding so the
-					// crash context is not lost with the rig.
-					defer func() {
-						if rec := recover(); rec != nil {
-							if dump := obs.FlightDump(rig.runner); dump != "" {
-								fmt.Fprintf(os.Stderr, "explore: panic in adversarial run; last %d steps:\n%s", rig.runner.FlightRecorder().Len(), dump)
-							}
-							panic(rec)
-						}
-					}()
+					defer dumpFlightOnPanic(rig.runner, "adversarial run")
 				}
 				tallies := map[string]int{}
 				executed := 0

@@ -14,40 +14,29 @@
 // schedules. Everything is seed-deterministic and the per-cell tallies fold
 // key-wise, so the matrix is invariant under the campaign worker count.
 //
-// Safety is checked over honest processes only — a Byzantine process's own
-// outputs carry no obligations (standard Byzantine semantics); the BG
-// target is the exception, its thread decisions are unattributable to
-// simulators, so the full check applies.
+// Safety is checked over honest processes only — each target's check skips
+// the corrupt set, since a Byzantine process's own outputs carry no
+// obligations (standard Byzantine semantics); the BG target is the
+// exception, its thread decisions are unattributable to simulators, so the
+// full check applies.
 
 package explore
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 
 	"github.com/settimeliness/settimeliness/internal/adversary"
-	"github.com/settimeliness/settimeliness/internal/antiomega"
 	"github.com/settimeliness/settimeliness/internal/campaign"
-	"github.com/settimeliness/settimeliness/internal/commitadopt"
-	"github.com/settimeliness/settimeliness/internal/consensus"
-	"github.com/settimeliness/settimeliness/internal/kset"
 	"github.com/settimeliness/settimeliness/internal/obs"
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
-// TargetAntiOmega is the anti-Ω detector of Figure 2 at k = t = n/2, a
-// byzantine-sweep-only target: its guarantees are liveness-flavored, so
-// corruption shows up as degradation rather than safety violation — the
-// contrast the degradation matrices are for.
-const TargetAntiOmega = "antiomega"
-
 // ByzConfig parameterizes a Byzantine degradation sweep.
 type ByzConfig struct {
-	// Target is the workload (TargetCommitAdopt, TargetConsensus,
-	// TargetCAChain, TargetKSet, TargetBG, or TargetAntiOmega).
+	// Target is the workload, a Targets entry's name.
 	Target string
 	// N is the system size.
 	N int
@@ -85,206 +74,43 @@ type ByzCell struct {
 }
 
 // byzRun is one reusable Byzantine rig: a NoRecycle direct-dispatch runner
-// for the workload, a pooled Byzantine director reconfigured per run, and
-// the honest-side check and progress hooks.
+// for the target's machine form, a pooled Byzantine director reconfigured
+// per run, and the target's harness.
 type byzRun struct {
+	*harness
 	n      int
 	runner *sim.Runner
 	dir    *adversary.Byzantine
-	// reset restores harness-side result slots before each run.
-	reset func()
-	// check applies the honest-only safety properties (corrupt processes'
-	// own outputs are exempt, except where unattributable).
-	check func(corrupt procset.Set) error
-	// progress reports whether every honest live process got its result —
-	// the run's liveness verdict and its early-stop condition.
-	progress func(honest procset.Set) bool
 }
 
 // newByzRun builds the rig for a target. Mutating directors retain and
 // replay register values, so every rig pins NoRecycle (see sim.WriteMutator).
-func newByzRun(target string, n, flightK int) (*byzRun, error) {
-	r := &byzRun{n: n}
-	cfg := sim.Config{N: n, NoRecycle: true}
-	switch target {
-	case TargetCommitAdopt:
-		results := make([]*caResult, n+1)
-		cfg.Machine = func(p procset.ID, regs sim.Registry) sim.Machine {
-			return commitadopt.NewProposeMachine(regs, "x", p, n, int(p), func(commit bool, val any) {
-				results[p] = &caResult{commit: commit, val: val}
-			})
-		}
-		r.reset = func() { clear(results) }
-		r.check = func(corrupt procset.Set) error { return checkCommitAdopt(n, honestOnly(results, corrupt)) }
-		r.progress = allHave(results)
-	case TargetConsensus:
-		decisions := make([]any, n+1)
-		cfg.Machine = func(p procset.ID, regs sim.Registry) sim.Machine {
-			return consensus.AttemptLoopMachine(regs, "c", p, n, int(p)*10, func(d any) {
-				decisions[p] = d
-			})
-		}
-		r.reset = func() { clear(decisions) }
-		r.check = func(corrupt procset.Set) error { return checkDecisions(n, honestOnly(decisions, corrupt)) }
-		r.progress = allHave(decisions)
-	case TargetCAChain:
-		decisions := make([]any, n+1)
-		cfg.Machine = func(p procset.ID, regs sim.Registry) sim.Machine {
-			return commitadopt.NewConsensusMachine(regs, "c", p, n, int(p)*10, func(val any) {
-				decisions[p] = val
-			})
-		}
-		r.reset = func() { clear(decisions) }
-		r.check = func(corrupt procset.Set) error { return checkDecisions(n, honestOnly(decisions, corrupt)) }
-		r.progress = allHave(decisions)
-	case TargetKSet:
-		kcfg := ksetConfig(n)
-		ag, err := kset.New(kcfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Machine = ag.Machine(func(p procset.ID) any { return int(p) * 10 })
-		r.reset = ag.Reset
-		r.check = func(corrupt procset.Set) error { return checkKSetAmong(kcfg, ag, corrupt) }
-		r.progress = func(honest procset.Set) bool {
-			for _, p := range honest.Members() {
-				if _, ok := ag.Decision(p); !ok {
-					return false
-				}
-			}
-			return true
-		}
-	case TargetBG:
-		simn, err := newBGSimulation(n)
-		if err != nil {
-			return nil, err
-		}
-		threads, _, _ := bgShape(n)
-		cfg.Machine = simn.Machine
-		r.reset = simn.Reset
-		// Thread decisions are joint work of all simulators — no honest-only
-		// restriction is possible, the full safety check applies.
-		r.check = func(procset.Set) error { return checkBG(n, simn) }
-		r.progress = func(procset.Set) bool {
-			for i := 1; i <= threads; i++ {
-				if _, ok := simn.ThreadDecision(i); !ok {
-					return false
-				}
-			}
-			return true
-		}
-	case TargetAntiOmega:
-		kt := n / 2
-		if kt < 1 {
-			kt = 1
-		}
-		acfg := antiomega.Config{N: n, K: kt, T: kt}
-		det, err := antiomega.NewDetector(acfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Machine = det.Machine
-		r.reset = det.Reset
-		// Anti-Ω's obligations are liveness-flavored; the checkable safety
-		// residue is structural: an honest process's published output is
-		// either absent or exactly n−k live candidates inside Πn.
-		r.check = func(corrupt procset.Set) error {
-			full := procset.FullSet(n)
-			for p := 1; p <= n; p++ {
-				id := procset.ID(p)
-				if corrupt.Contains(id) {
-					continue
-				}
-				out := det.Output(id)
-				if out.IsEmpty() {
-					continue
-				}
-				if out.Size() != n-acfg.K || !out.SubsetOf(full) {
-					return fmt.Errorf("p%d published malformed output %v (want %d members of Π%d)", p, out, n-acfg.K, n)
-				}
-			}
-			return nil
-		}
-		r.progress = func(honest procset.Set) bool {
-			for _, p := range honest.Members() {
-				if det.Iterations(p) < 2 {
-					return false
-				}
-			}
-			return true
-		}
-	default:
-		return nil, fmt.Errorf("explore: unknown byzantine target %q (want %s, %s, %s, %s, %s, or %s)",
-			target, TargetCommitAdopt, TargetConsensus, TargetCAChain, TargetKSet, TargetBG, TargetAntiOmega)
-	}
-	runner, err := sim.NewRunner(cfg)
+func newByzRun(t Target, n, flightK int) (*byzRun, error) {
+	h, err := t.build(n)
 	if err != nil {
 		return nil, err
 	}
-	if flightK > 0 {
-		runner.SetFlightRecorder(sim.NewFlightRecorder(flightK))
+	runner, err := h.directedRunner(n, flightK, true)
+	if err != nil {
+		return nil, err
 	}
 	dir, err := adversary.NewByzantine(adversary.ByzantineConfig{N: n})
 	if err != nil {
 		runner.Close()
 		return nil, err
 	}
-	r.runner, r.dir = runner, dir
-	return r, nil
+	return &byzRun{harness: h, n: n, runner: runner, dir: dir}, nil
 }
 
-// honestOnly returns results with the corrupt processes' entries zeroed, so
-// a check written for the honest-only view can run unmodified.
-func honestOnly[T any](results []T, corrupt procset.Set) []T {
-	if corrupt.IsEmpty() {
-		return results
-	}
-	out := make([]T, len(results))
-	copy(out, results)
-	var zero T
-	for _, p := range corrupt.Members() {
-		out[p] = zero
-	}
-	return out
-}
-
-// allHave is the progress predicate for slot-per-process harnesses: every
-// honest live process delivered a result.
-func allHave[T comparable](results []T) func(procset.Set) bool {
-	var zero T
-	return func(honest procset.Set) bool {
-		for _, p := range honest.Members() {
-			if results[p] == zero {
-				return false
-			}
+// honestProgress reports whether every honest live process delivered its
+// result — the run's liveness verdict and its early-stop condition.
+func (r *byzRun) honestProgress(honest procset.Set) bool {
+	for _, p := range honest.Members() {
+		if !r.progress(p) {
+			return false
 		}
-		return true
 	}
-}
-
-// checkKSetAmong is checkKSet restricted to the processes outside skip:
-// validity and uniform k-agreement quantified over honest decisions only.
-func checkKSetAmong(cfg kset.Config, ag *kset.Agreement, skip procset.Set) error {
-	distinct := make(map[any]bool)
-	for p := 1; p <= cfg.N; p++ {
-		id := procset.ID(p)
-		if skip.Contains(id) {
-			continue
-		}
-		d, ok := ag.Decision(id)
-		if !ok {
-			continue
-		}
-		v, isInt := d.(int)
-		if !isInt || v%10 != 0 || v < 10 || v > 10*cfg.N {
-			return fmt.Errorf("p%d decided non-proposal %v", p, d)
-		}
-		distinct[d] = true
-	}
-	if len(distinct) > cfg.K {
-		return fmt.Errorf("%d distinct honest decisions, k = %d", len(distinct), cfg.K)
-	}
-	return nil
+	return true
 }
 
 // one executes a single Byzantine run: draw nothing (the caller drew the
@@ -305,11 +131,11 @@ func (r *byzRun) one(crashed, corrupt procset.Set, strat adversary.Strategy, see
 		return "", err
 	}
 	honest := procset.FullSet(r.n).Minus(crashed).Minus(corrupt)
-	r.dir.DriveDirected(r.runner, steps, 500, func() bool { return r.progress(honest) })
+	r.dir.DriveDirected(r.runner, steps, 500, func() bool { return r.honestProgress(honest) })
 	if cerr := r.check(corrupt); cerr != nil {
 		return "violated", cerr
 	}
-	if !r.progress(honest) {
+	if !r.honestProgress(honest) {
 		return "degraded", nil
 	}
 	return "safe", nil
@@ -350,10 +176,12 @@ func ByzantineCampaign(ctx context.Context, cfg ByzConfig, onResult func(campaig
 		strategies = []adversary.Strategy{adversary.StrategyFlip, adversary.StrategyStale, adversary.StrategySplit}
 	}
 	// Validate the target before spinning up workers.
-	if probe, err := newByzRun(cfg.Target, cfg.N, 0); err != nil {
+	target, err := LookupTarget(cfg.Target)
+	if err != nil {
 		return nil, nil, err
-	} else {
-		probe.runner.Close()
+	}
+	if _, err := target.build(cfg.N); err != nil {
+		return nil, nil, err
 	}
 
 	type cellID struct {
@@ -380,7 +208,7 @@ func ByzantineCampaign(ctx context.Context, cfg ByzConfig, onResult func(campaig
 	}
 
 	flightK := obs.FlightK(ctx)
-	pool := campaign.NewPool(func() (*byzRun, error) { return newByzRun(cfg.Target, cfg.N, flightK) })
+	pool := campaign.NewPool(func() (*byzRun, error) { return newByzRun(target, cfg.N, flightK) })
 	defer pool.Drain(func(r *byzRun) { r.runner.Close() })
 
 	jobs := make([]campaign.Job, 0, len(cells))
@@ -396,14 +224,7 @@ func ByzantineCampaign(ctx context.Context, cfg ByzConfig, onResult func(campaig
 				}
 				defer pool.Put(rig)
 				if flightK > 0 {
-					defer func() {
-						if rec := recover(); rec != nil {
-							if dump := obs.FlightDump(rig.runner); dump != "" {
-								fmt.Fprintf(os.Stderr, "explore: panic in byzantine cell %s; last %d steps:\n%s", key, rig.runner.FlightRecorder().Len(), dump)
-							}
-							panic(rec)
-						}
-					}()
+					defer dumpFlightOnPanic(rig.runner, "byzantine cell "+key)
 				}
 				tallies := map[string]int{}
 				worst := "safe"

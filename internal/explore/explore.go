@@ -4,14 +4,14 @@
 // arguments care about most), and high-volume seeded random fuzzing for
 // larger systems.
 //
-// Two execution paths produce bit-identical results:
-//
-//   - the builder path (Builder) constructs a fresh coroutine run per
-//     schedule — simple, and the form the mutation tests are written in;
-//   - the pooled path (PooledBuilder) keeps one reusable run per campaign
-//     worker — typically a direct-dispatch Machine run — and replays it via
-//     Runner.Reset, avoiding goroutine and allocation churn per schedule.
-//     This is the default path of cmd/stm-campaign.
+// Every protocol the explorer checks is one entry of the Target table
+// (targets.go): its coroutine reference, its direct-dispatch machine form,
+// one safety check and one progress predicate. All campaigns run on one
+// pooled path — a reusable Run per campaign worker, replayed via
+// Runner.Reset — and either form of a target plugs into it: the machine
+// form in production, the coroutine reference through an adapter whose
+// Reset rebuilds a fresh run (the form the equivalence and mutation tests
+// are written against).
 //
 // The package's own tests double as mutation tests: deliberately broken
 // protocol variants must be caught, which validates that the explorer (and
@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 
 	"github.com/settimeliness/settimeliness/internal/campaign"
 	"github.com/settimeliness/settimeliness/internal/obs"
@@ -31,13 +32,12 @@ import (
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
-// Builder creates one fresh run: the per-process algorithm (with fresh
-// captured state) and a check applied after the schedule has been executed.
-// check returns an error describing the violation, if any.
+// Builder creates one fresh coroutine run: the per-process algorithm (with
+// fresh captured state) and a check applied after the schedule has been
+// executed. check returns an error describing the violation, if any.
 //
-// Campaign entry points call the builder from multiple worker goroutines
-// concurrently; each call must return state shared with nothing outside
-// that one run.
+// Builders are called from multiple worker goroutines concurrently; each
+// call must return state shared with nothing outside that one run.
 type Builder func() (algo func(procset.ID) sim.Algorithm, check func() error)
 
 // Run is one reusable run instance for the pooled execution path: a runner
@@ -49,7 +49,9 @@ type Run struct {
 	// the builder owns Close (via the pool's drain).
 	Runner *sim.Runner
 	// Reset restores the harness-side result slots before each schedule.
-	// May be nil when the check reads only simulator state.
+	// It may also replace Runner (the coroutine adapter does), so read
+	// Runner after calling it. May be nil when the check reads only
+	// simulator state.
 	Reset func()
 	// Check inspects the outcome after a schedule, returning an error
 	// describing the violation, if any.
@@ -121,20 +123,36 @@ func (v *Violation) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// runOne executes one finite schedule from a fresh build and applies the
-// check.
-func runOne(n int, schedule sched.Schedule, build Builder) error {
-	algo, check := build()
-	runner, err := sim.NewRunner(sim.Config{N: n, Algorithm: algo})
-	if err != nil {
-		return err
+// referenceBuilder adapts a coroutine Builder to the pooled path: the Run's
+// Reset closes the previous runner and rebuilds from a fresh build() call,
+// so every schedule executes exactly as on a fresh coroutine run.
+func referenceBuilder(n int, build Builder) PooledBuilder {
+	return func() (*Run, error) {
+		run := &Run{}
+		var check func() error
+		rebuild := func() error {
+			algo, c := build()
+			runner, err := sim.NewRunner(sim.Config{N: n, Algorithm: algo})
+			if err != nil {
+				return err
+			}
+			if run.Runner != nil {
+				run.Runner.Close()
+			}
+			run.Runner, check = runner, c
+			return nil
+		}
+		if err := rebuild(); err != nil {
+			return nil, err
+		}
+		run.Reset = func() {
+			if err := rebuild(); err != nil {
+				panic(err) // the first build with the same n succeeded
+			}
+		}
+		run.Check = func() error { return check() }
+		return run, nil
 	}
-	defer runner.Close()
-	runner.RunSchedule(schedule)
-	if err := check(); err != nil {
-		return &Violation{Schedule: schedule, Err: err}
-	}
-	return nil
 }
 
 // runPooled executes one finite schedule on a recycled Run. A panic inside
@@ -163,6 +181,33 @@ func runPooled(run *Run, schedule sched.Schedule) error {
 	return nil
 }
 
+// directedRunner builds h's machine form on a runner for a directed
+// campaign rig; flightK > 0 attaches a flight recorder with a ring of that
+// many steps, so a failing run can report its tail (directed runs have no
+// replayable schedule).
+func (h *harness) directedRunner(n, flightK int, noRecycle bool) (*sim.Runner, error) {
+	runner, err := sim.NewRunner(sim.Config{N: n, NoRecycle: noRecycle, Machine: h.machine})
+	if err != nil {
+		return nil, err
+	}
+	if flightK > 0 {
+		runner.SetFlightRecorder(sim.NewFlightRecorder(flightK))
+	}
+	return runner, nil
+}
+
+// dumpFlightOnPanic is deferred by directed campaign jobs: a panicking run
+// never reaches the violation path, so the recorded tail goes to stderr
+// before the panic unwinds and the crash context is lost with the rig.
+func dumpFlightOnPanic(runner *sim.Runner, what string) {
+	if rec := recover(); rec != nil {
+		if dump := obs.FlightDump(runner); dump != "" {
+			fmt.Fprintf(os.Stderr, "explore: panic in %s; last %d steps:\n%s", what, runner.FlightRecorder().Len(), dump)
+		}
+		panic(rec)
+	}
+}
+
 // batchSize splits total runs into campaign jobs: small enough to shard
 // across workers, large enough that per-job overhead stays negligible.
 func batchSize(total int) int {
@@ -176,17 +221,14 @@ func batchSize(total int) int {
 	}
 }
 
-// executor runs one schedule, returning a *Violation (or an infrastructure
-// error); acquire hands a job an executor plus its release hook.
-type executor func(s sched.Schedule) error
-
-type acquireFunc func() (exec executor, release func(), err error)
-
 // runCampaign builds one job per batch of [0,total) and runs them on the
 // engine, returning the report and the violation of the smallest run index
-// found, if any. Each job acquires its executor once and runs its whole
-// batch on it, stopping at the first violation.
-func runCampaign(ctx context.Context, workers, total int, nth func(int) sched.Schedule, acquire acquireFunc, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
+// found, if any. Each job takes one pooled Run and replays its whole batch
+// on it, stopping at the first violation; the pooled runners are closed
+// when the campaign finishes.
+func runCampaign(ctx context.Context, workers, total int, nth func(int) sched.Schedule, build PooledBuilder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
+	pool := campaign.NewPool(func() (*Run, error) { return build() })
+	defer pool.Drain(func(r *Run) { r.Runner.Close() })
 	batch := batchSize(total)
 	var jobs []campaign.Job
 	for lo := 0; lo < total; lo += batch {
@@ -197,18 +239,18 @@ func runCampaign(ctx context.Context, workers, total int, nth func(int) sched.Sc
 		jobs = append(jobs, campaign.Job{
 			Name: fmt.Sprintf("batch[%d,%d)", lo, hi),
 			Run: func(ctx context.Context, _ int64) (campaign.Outcome, error) {
-				exec, release, err := acquire()
+				run, err := pool.Get()
 				if err != nil {
 					return campaign.Outcome{}, err
 				}
-				defer release()
+				defer pool.Put(run)
 				runs := 0
 				for i := lo; i < hi; i++ {
 					if ctx.Err() != nil {
 						break
 					}
 					runs++
-					if err := exec(nth(i)); err != nil {
+					if err := runPooled(run, nth(i)); err != nil {
 						var v *Violation
 						if errors.As(err, &v) {
 							return campaign.Outcome{
@@ -244,38 +286,6 @@ func runCampaign(ctx context.Context, workers, total int, nth func(int) sched.Sc
 	return rep, runs, nil
 }
 
-// freshAcquire wraps the builder path: every schedule gets a fresh build.
-func freshAcquire(n int, build Builder) acquireFunc {
-	return func() (executor, func(), error) {
-		return func(s sched.Schedule) error { return runOne(n, s, build) }, func() {}, nil
-	}
-}
-
-// pooledCampaign wraps runCampaign with a runner pool over build, draining
-// (closing) the pooled runners when the campaign finishes.
-func pooledCampaign(ctx context.Context, workers, total int, nth func(int) sched.Schedule, build PooledBuilder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-	pool := campaign.NewPool(func() (*Run, error) { return build() })
-	defer pool.Drain(func(r *Run) { r.Runner.Close() })
-	acquire := func() (executor, func(), error) {
-		run, err := pool.Get()
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(s sched.Schedule) error { return runPooled(run, s) },
-			func() { pool.Put(run) }, nil
-	}
-	return runCampaign(ctx, workers, total, nth, acquire, onResult)
-}
-
-// Exhaustive checks every schedule of exactly depth steps over n processes
-// (n^depth runs — keep n and depth small). It returns the number of runs
-// and the first violation found, if any. It is a thin wrapper over
-// ExhaustiveCampaign at the default worker count.
-func Exhaustive(n, depth int, build Builder) (int, error) {
-	_, runs, err := ExhaustiveCampaign(context.Background(), 0, n, depth, build, nil)
-	return runs, err
-}
-
 // exhaustiveSpace validates the (n, depth) bounds and returns the run count
 // and the fixed schedule enumeration (run r's step i is digit i of r in
 // base n), so which schedules run is independent of sharding and of the
@@ -302,43 +312,24 @@ func exhaustiveSpace(n, depth int) (int, func(int) sched.Schedule, error) {
 	return total, nth, nil
 }
 
-// ExhaustiveCampaign shards the exhaustive enumeration across workers
-// (0 means GOMAXPROCS) on the builder path. When a violation exists the
-// reported one is the violation of the smallest run index found before
-// cancellation, which may differ from the sequential first under
+// ExhaustivePooledCampaign shards the exhaustive enumeration across
+// workers (0 means GOMAXPROCS), each running its schedules on a reusable
+// Run from build. It returns the number of runs executed; when a violation
+// exists the reported one is the violation of the smallest run index found
+// before cancellation, which may differ from the sequential first under
 // parallelism.
-func ExhaustiveCampaign(ctx context.Context, workers, n, depth int, build Builder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-	total, nth, err := exhaustiveSpace(n, depth)
-	if err != nil {
-		return nil, 0, err
-	}
-	return runCampaign(ctx, workers, total, nth, freshAcquire(n, build), onResult)
-}
-
-// ExhaustivePooledCampaign is ExhaustiveCampaign on the pooled path: the
-// same enumeration executed on per-worker reusable runs. Results are
-// bit-identical to the builder path.
 func ExhaustivePooledCampaign(ctx context.Context, workers, n, depth int, build PooledBuilder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
 	total, nth, err := exhaustiveSpace(n, depth)
 	if err != nil {
 		return nil, 0, err
 	}
-	return pooledCampaign(ctx, workers, total, nth, build, onResult)
-}
-
-// FuzzRandom checks seeded random schedules (seeds runs of steps steps) with
-// each of the given crash patterns (nil for failure-free only). It returns
-// the number of runs and the first violation. It is a thin wrapper over
-// FuzzCampaign at the default worker count with base seed 0.
-func FuzzRandom(n, steps, seeds int, crashPatterns []map[procset.ID]int, build Builder) (int, error) {
-	_, runs, err := FuzzCampaign(context.Background(), 0, n, steps, seeds, 0, crashPatterns, build, nil)
-	return runs, err
+	return runCampaign(ctx, workers, total, nth, build, onResult)
 }
 
 // fuzzSpace validates the generators and returns the run count and the
 // schedule enumeration: run index r covers schedule seed base+r/len(patterns)
 // with crash pattern r%len(patterns), so coverage is independent of sharding
-// and of the execution path.
+// and of the execution form.
 func fuzzSpace(n, steps, seeds int, base int64, crashPatterns []map[procset.ID]int) (int, func(int) sched.Schedule, error) {
 	if len(crashPatterns) == 0 {
 		crashPatterns = []map[procset.ID]int{nil}
@@ -366,23 +357,15 @@ func fuzzSpace(n, steps, seeds int, base int64, crashPatterns []map[procset.ID]i
 	return seeds * len(crashPatterns), nth, nil
 }
 
-// FuzzCampaign shards seeded random fuzzing across workers (0 means
-// GOMAXPROCS) on the builder path.
-func FuzzCampaign(ctx context.Context, workers, n, steps, seeds int, base int64, crashPatterns []map[procset.ID]int, build Builder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-	total, nth, err := fuzzSpace(n, steps, seeds, base, crashPatterns)
-	if err != nil {
-		return nil, 0, err
-	}
-	return runCampaign(ctx, workers, total, nth, freshAcquire(n, build), onResult)
-}
-
-// FuzzPooledCampaign is FuzzCampaign on the pooled path: the same schedule
-// population executed on per-worker reusable runs. Results are bit-identical
-// to the builder path.
+// FuzzPooledCampaign shards seeded random fuzzing across workers (0 means
+// GOMAXPROCS): seeds schedules of steps steps from base seed base, each run
+// under every crash pattern (nil for failure-free only), on reusable Runs
+// from build. It returns the number of runs executed and the first
+// violation, if any.
 func FuzzPooledCampaign(ctx context.Context, workers, n, steps, seeds int, base int64, crashPatterns []map[procset.ID]int, build PooledBuilder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
 	total, nth, err := fuzzSpace(n, steps, seeds, base, crashPatterns)
 	if err != nil {
 		return nil, 0, err
 	}
-	return pooledCampaign(ctx, workers, total, nth, build, onResult)
+	return runCampaign(ctx, workers, total, nth, build, onResult)
 }

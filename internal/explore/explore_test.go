@@ -15,15 +15,21 @@ import (
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
-// caBuilder is the exported commit-adopt target; the alias keeps the
-// historical test name.
-func caBuilder(n int) Builder { return CommitAdoptBuilder(n) }
+// mustTarget looks up a Target table entry.
+func mustTarget(t *testing.T, name string) Target {
+	t.Helper()
+	target, err := LookupTarget(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return target
+}
 
 func TestCommitAdoptExhaustiveN2(t *testing.T) {
 	t.Parallel()
 	// Propose costs 2 + 2n = 6 steps per process with n=2; depth 12 covers
 	// every interleaving of two complete proposals: 4096 runs.
-	runs, err := Exhaustive(2, 12, caBuilder(2))
+	_, runs, err := ExhaustivePooledCampaign(context.Background(), 0, 2, 12, mustTarget(t, TargetCommitAdopt).Reference(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +45,7 @@ func TestCommitAdoptFuzzN4(t *testing.T) {
 		{1: 3},
 		{2: 0, 4: 9},
 	}
-	runs, err := FuzzRandom(4, 300, 60, crashes, caBuilder(4))
+	_, runs, err := FuzzPooledCampaign(context.Background(), 0, 4, 300, 60, 0, crashes, mustTarget(t, TargetCommitAdopt).Reference(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +54,11 @@ func TestCommitAdoptFuzzN4(t *testing.T) {
 	}
 }
 
-// brokenAgreement is a deliberately wrong protocol: each process writes its
-// value and decides the minimum it has read so far — transient views differ,
-// so two processes can "commit" different values. The explorer must catch
-// it (mutation test for the harness itself).
+// brokenAgreementBuilder is a deliberately wrong protocol: each process
+// writes its value and decides the minimum it has read so far — transient
+// views differ, so two processes can "commit" different values. The
+// explorer must catch it (mutation test for the harness itself), run in
+// coroutine form through the reference adapter.
 func brokenAgreementBuilder(n int) Builder {
 	return func() (func(procset.ID) sim.Algorithm, func() error) {
 		decided := make([]any, n+1)
@@ -91,7 +98,7 @@ func brokenAgreementBuilder(n int) Builder {
 
 func TestExplorerCatchesBrokenAgreement(t *testing.T) {
 	t.Parallel()
-	_, err := Exhaustive(2, 12, brokenAgreementBuilder(2))
+	_, _, err := ExhaustivePooledCampaign(context.Background(), 0, 2, 12, referenceBuilder(2, brokenAgreementBuilder(2)), nil)
 	var v *Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("broken protocol not caught: %v", err)
@@ -101,7 +108,7 @@ func TestExplorerCatchesBrokenAgreement(t *testing.T) {
 	}
 }
 
-// brokenCommitAdopt skips the second collect phase: commits are based on
+// brokenCommitAdoptBuilder skips the second collect phase: commits are based on
 // phase 1 unanimity alone, which is unsound. The fuzzer must catch it.
 func brokenCommitAdoptBuilder(n int) Builder {
 	return func() (func(procset.ID) sim.Algorithm, func() error) {
@@ -156,7 +163,7 @@ func brokenCommitAdoptBuilder(n int) Builder {
 
 func TestExplorerCatchesBrokenCommitAdopt(t *testing.T) {
 	t.Parallel()
-	_, err := Exhaustive(2, 8, brokenCommitAdoptBuilder(2))
+	_, _, err := ExhaustivePooledCampaign(context.Background(), 0, 2, 8, referenceBuilder(2, brokenCommitAdoptBuilder(2)), nil)
 	var v *Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("broken commit-adopt not caught: %v", err)
@@ -168,7 +175,7 @@ func TestExplorerCatchesBrokenCommitAdopt(t *testing.T) {
 // two different decisions or a non-proposal decision.
 func TestConsensusSafetyExhaustiveTiny(t *testing.T) {
 	t.Parallel()
-	runs, err := Exhaustive(2, 16, ConsensusBuilder(2))
+	_, runs, err := ExhaustivePooledCampaign(context.Background(), 0, 2, 16, mustTarget(t, TargetConsensus).Reference(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +186,15 @@ func TestConsensusSafetyExhaustiveTiny(t *testing.T) {
 
 func TestExhaustiveValidation(t *testing.T) {
 	t.Parallel()
-	b := caBuilder(2)
-	if _, err := Exhaustive(5, 3, b); err == nil {
+	b := mustTarget(t, TargetCommitAdopt).Reference(2)
+	ctx := context.Background()
+	if _, _, err := ExhaustivePooledCampaign(ctx, 0, 5, 3, b, nil); err == nil {
 		t.Error("n = 5 accepted")
 	}
-	if _, err := Exhaustive(2, 0, b); err == nil {
+	if _, _, err := ExhaustivePooledCampaign(ctx, 0, 2, 0, b, nil); err == nil {
 		t.Error("depth = 0 accepted")
 	}
-	if _, err := Exhaustive(2, 25, b); err == nil {
+	if _, _, err := ExhaustivePooledCampaign(ctx, 0, 2, 25, b, nil); err == nil {
 		t.Error("depth = 25 accepted")
 	}
 }
@@ -217,7 +225,7 @@ func TestViolationReachesJSONLStream(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
 	sink, sinkErr := campaign.JSONLSink(&buf)
-	_, _, err := ExhaustiveCampaign(context.Background(), 2, 2, 12, brokenAgreementBuilder(2), sink)
+	_, _, err := ExhaustivePooledCampaign(context.Background(), 2, 2, 12, referenceBuilder(2, brokenAgreementBuilder(2)), sink)
 	var v *Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("broken protocol not caught: %v", err)

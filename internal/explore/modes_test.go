@@ -12,11 +12,11 @@ import (
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
-// TestFuzzModesBitIdentical is the cross-mode determinism contract at the
-// campaign level: for every named target, the builder path (fresh coroutine
-// run per schedule) and the pooled path (reused direct-dispatch or
-// Reset-respawned run per worker) fold to bit-identical summaries, at any
-// worker count.
+// TestFuzzModesBitIdentical is the cross-form determinism contract at the
+// campaign level, over every entry of the Target table: the coroutine
+// reference (fresh run per schedule, through the adapter) and the machine
+// form (reused direct-dispatch run per worker) fold to bit-identical fuzz
+// summaries at any worker count.
 func TestFuzzModesBitIdentical(t *testing.T) {
 	t.Parallel()
 	const (
@@ -26,57 +26,55 @@ func TestFuzzModesBitIdentical(t *testing.T) {
 		base  = int64(5)
 	)
 	crashes := []map[procset.ID]int{nil, {1: 7}}
-	for _, name := range []string{TargetCommitAdopt, TargetConsensus, TargetCAChain, TargetKSet, TargetBG} {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for _, target := range Targets {
+		target := target
+		t.Run(target.Name, func(t *testing.T) {
 			t.Parallel()
-			build, err := TargetBuilder(name, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pooled, err := PooledTargetBuilder(name, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var summaries []campaign.Summary
-			for _, workers := range []int{1, 8} {
-				rep, _, err := FuzzCampaign(context.Background(), workers, n, steps, seeds, base, crashes, build, nil)
-				if err != nil {
-					t.Fatalf("builder path (workers=%d): %v", workers, err)
+			var fuzz []campaign.Summary
+			for _, form := range []func(int) PooledBuilder{target.Reference, target.Machine} {
+				for _, workers := range []int{1, 8} {
+					rep, _, err := FuzzPooledCampaign(context.Background(), workers, n, steps, seeds, base, crashes, form(n), nil)
+					if err != nil {
+						t.Fatalf("fuzz (workers=%d): %v", workers, err)
+					}
+					fuzz = append(fuzz, rep.Summary)
 				}
-				summaries = append(summaries, rep.Summary)
-				prep, _, err := FuzzPooledCampaign(context.Background(), workers, n, steps, seeds, base, crashes, pooled, nil)
-				if err != nil {
-					t.Fatalf("pooled path (workers=%d): %v", workers, err)
-				}
-				summaries = append(summaries, prep.Summary)
 			}
-			for i := 1; i < len(summaries); i++ {
-				if !reflect.DeepEqual(summaries[0], summaries[i]) {
-					t.Fatalf("summary %d diverges:\n%+v\nvs\n%+v", i, summaries[0], summaries[i])
+			for i := 1; i < len(fuzz); i++ {
+				if !reflect.DeepEqual(fuzz[0], fuzz[i]) {
+					t.Fatalf("fuzz summary %d diverges:\n%+v\nvs\n%+v", i, fuzz[0], fuzz[i])
 				}
 			}
 		})
 	}
 }
 
-// TestExhaustiveModesBitIdentical covers the exhaustive enumeration the
-// same way on the full n=2 interleaving space of commit-adopt.
+// TestExhaustiveModesBitIdentical covers the exhaustive enumeration the same
+// way, over every entry of the Target table: on the full n = 2 interleaving
+// space the reference and machine forms run the same number of schedules
+// and fold to bit-identical summaries.
 func TestExhaustiveModesBitIdentical(t *testing.T) {
 	t.Parallel()
-	rep, runs, err := ExhaustiveCampaign(context.Background(), 2, 2, 10, CommitAdoptBuilder(2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, pruns, err := ExhaustivePooledCampaign(context.Background(), 2, 2, 10, CommitAdoptPooledBuilder(2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs != pruns {
-		t.Fatalf("run counts differ: %d vs %d", runs, pruns)
-	}
-	if !reflect.DeepEqual(rep.Summary, prep.Summary) {
-		t.Fatalf("summaries diverge:\n%+v\nvs\n%+v", rep.Summary, prep.Summary)
+	const depth = 10
+	for _, target := range Targets {
+		target := target
+		t.Run(target.Name, func(t *testing.T) {
+			t.Parallel()
+			rep, runs, err := ExhaustivePooledCampaign(context.Background(), 2, 2, depth, target.Reference(2), nil)
+			if err != nil {
+				t.Fatalf("exhaustive reference: %v", err)
+			}
+			mrep, mruns, err := ExhaustivePooledCampaign(context.Background(), 2, 2, depth, target.Machine(2), nil)
+			if err != nil {
+				t.Fatalf("exhaustive machine: %v", err)
+			}
+			if runs != mruns {
+				t.Fatalf("run counts differ: %d vs %d", runs, mruns)
+			}
+			if !reflect.DeepEqual(rep.Summary, mrep.Summary) {
+				t.Fatalf("exhaustive summaries diverge:\n%+v\nvs\n%+v", rep.Summary, mrep.Summary)
+			}
+		})
 	}
 }
 
@@ -167,10 +165,15 @@ func TestPooledExplorerCatchesBrokenCommitAdopt(t *testing.T) {
 
 func TestPooledTargetBuilderUnknown(t *testing.T) {
 	t.Parallel()
-	if _, err := PooledTargetBuilder("nope", 3); err == nil {
-		t.Error("unknown pooled target accepted")
+	_, err := PooledTargetBuilder("nope", 3)
+	if err == nil {
+		t.Fatal("unknown target accepted")
 	}
-	if _, err := TargetBuilder("nope", 3); err == nil {
-		t.Error("unknown target accepted")
+	want := `explore: unknown target "nope" (want one of commitadopt, consensus, cachain, kset, bg, antiomega)`
+	if err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
+	}
+	if _, err := PooledTargetBuilder(TargetKSet, 0); err == nil {
+		t.Error("n = 0 accepted")
 	}
 }

@@ -1,10 +1,10 @@
 // Partial-order reduction for the exhaustive explorer.
 //
-// Exhaustive enumerates all n^depth schedules, but most of them are
-// redundant: swapping two adjacent steps whose operations commute — different
-// registers, two reads of the same register, or any step of a halted process
-// — produces a run with the identical final state, hence the identical
-// verdict. ExhaustiveReduced explores one representative per such
+// ExhaustivePooledCampaign enumerates all n^depth schedules, but most of
+// them are redundant: swapping two adjacent steps whose operations commute —
+// different registers, two reads of the same register, or any step of a
+// halted process — produces a run with the identical final state, hence the
+// identical verdict. ExhaustiveReduced explores one representative per such
 // commutation class using a sleep-set depth-first search (Godefroid): at
 // every prefix state it peeks each process's pending operation
 // (Runner.PendingOp), and after exploring process p it adds p to the sleep
@@ -35,7 +35,8 @@ import (
 // ReducedStats reports the shape of one reduced exhaustive sweep.
 type ReducedStats struct {
 	// Schedules is the number of depth-length canonical schedules whose
-	// verdicts were checked — the reduced analogue of Exhaustive's run count.
+	// verdicts were checked — the reduced analogue of the full sweep's run
+	// count.
 	Schedules int
 	// States is the number of interior prefix states expanded.
 	States int

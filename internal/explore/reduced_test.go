@@ -207,20 +207,16 @@ func TestExhaustiveReducedFirstViolation(t *testing.T) {
 }
 
 // TestExhaustiveReducedMatchesFullOnTargets runs the reduced and full sweeps
-// over every named fuzz target at n = 2: all targets are safe, so both
+// over every Target table entry at n = 2: all targets are safe, so both
 // sweeps must report empty verdict sets — and the reduced one must do so
 // with fewer schedules.
 func TestExhaustiveReducedMatchesFullOnTargets(t *testing.T) {
 	t.Parallel()
 	const n, depth = 2, 9
-	for _, name := range []string{TargetCommitAdopt, TargetConsensus, TargetCAChain, TargetKSet, TargetBG} {
-		name := name
+	for _, target := range Targets {
+		name, build := target.Name, target.Machine(n)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			build, err := PooledTargetBuilder(name, n)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if full := fullSweep(t, n, depth, build); len(full) != 0 {
 				t.Fatalf("full sweep found unexpected violations: %v", full[0])
 			}
@@ -271,7 +267,7 @@ func TestExhaustiveReducedRatioN3(t *testing.T) {
 	}
 }
 
-// TestExhaustiveReducedValidation mirrors Exhaustive's bounds.
+// TestExhaustiveReducedValidation mirrors ExhaustivePooledCampaign's bounds.
 func TestExhaustiveReducedValidation(t *testing.T) {
 	t.Parallel()
 	b := brokenMinPooledBuilder(2)

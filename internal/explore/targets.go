@@ -2,7 +2,9 @@ package explore
 
 import (
 	"fmt"
+	"strings"
 
+	"github.com/settimeliness/settimeliness/internal/antiomega"
 	"github.com/settimeliness/settimeliness/internal/bg"
 	"github.com/settimeliness/settimeliness/internal/commitadopt"
 	"github.com/settimeliness/settimeliness/internal/consensus"
@@ -11,14 +13,7 @@ import (
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
-// Named fuzz targets: ready-made builders for the protocols whose safety the
-// explorer guards, used by cmd/stm-campaign and reusable from tests. Every
-// target exists in two forms with bit-identical verdicts: a Builder (fresh
-// coroutine run per schedule) and a PooledBuilder (per-worker reusable run
-// on the protocol's direct-dispatch Machine port). Each returned builder is
-// safe for concurrent use by campaign workers.
-
-// Target names accepted by TargetBuilder and PooledTargetBuilder.
+// Target names, the -target spellings of cmd/stm-campaign.
 const (
 	TargetCommitAdopt = "commitadopt"
 	TargetConsensus   = "consensus"
@@ -31,68 +26,172 @@ const (
 	// TargetBG is the Borowsky–Gafni simulation substrate: n simulators over
 	// an (n+2)-thread wait-min protocol.
 	TargetBG = "bg"
+	// TargetAntiOmega is the anti-Ω detector of Figure 2 at k = t = n/2. Its
+	// guarantees are liveness-flavored, so under Byzantine corruption it
+	// shows degradation rather than safety violations.
+	TargetAntiOmega = "antiomega"
 )
 
-func unknownTarget(name string) error {
-	return fmt.Errorf("explore: unknown fuzz target %q (want %s, %s, %s, %s, or %s)",
-		name, TargetCommitAdopt, TargetConsensus, TargetCAChain, TargetKSet, TargetBG)
+// Target is one protocol whose safety the explorer guards, defined once for
+// every campaign: fuzz and exhaustive sweeps (on either execution form),
+// the Byzantine degradation sweep and the adversarial starvation campaign
+// all build their runs from its harness.
+type Target struct {
+	// Name is the target's -target spelling.
+	Name string
+	// harness builds one instance of the workload for n processes.
+	harness func(n int) (*harness, error)
 }
 
-// TargetBuilder returns the named builder (fresh-run path) for n processes.
-// Parameterized targets (kset, bg) are validated here, so a bad n surfaces
+// harness is one instance of a target's workload: both execution forms
+// writing the same result slots, and the hooks that read those slots.
+type harness struct {
+	// algo is the coroutine reference form.
+	algo func(procset.ID) sim.Algorithm
+	// machine is the direct-dispatch production form.
+	machine func(procset.ID, sim.Registry) sim.Machine
+	// reset restores the result slots before a reused machine-form run.
+	reset func()
+	// check applies the safety properties to every process outside skip:
+	// empty for fuzz and exhaustive runs, the corrupt set for Byzantine runs
+	// (a Byzantine process's own outputs carry no obligations).
+	check func(skip procset.Set) error
+	// progress reports whether p has delivered its result — the liveness
+	// verdict of Byzantine runs and the stop condition of adversarial ones.
+	progress func(p procset.ID) bool
+}
+
+// Targets is the target table, in -target help order.
+var Targets = []Target{
+	{TargetCommitAdopt, commitAdoptHarness},
+	{TargetConsensus, consensusHarness},
+	{TargetCAChain, caChainHarness},
+	{TargetKSet, ksetHarness},
+	{TargetBG, bgHarness},
+	{TargetAntiOmega, antiOmegaHarness},
+}
+
+// TargetNames joins the table's names with sep.
+func TargetNames(sep string) string {
+	names := make([]string, len(Targets))
+	for i, t := range Targets {
+		names[i] = t.Name
+	}
+	return strings.Join(names, sep)
+}
+
+// LookupTarget returns the named table entry.
+func LookupTarget(name string) (Target, error) {
+	for _, t := range Targets {
+		if t.Name == name {
+			return t, nil
+		}
+	}
+	return Target{}, fmt.Errorf("explore: unknown target %q (want one of %s)", name, TargetNames(", "))
+}
+
+// build validates n and builds one harness, so a bad system size surfaces
 // as an error before any campaign worker runs.
-func TargetBuilder(name string, n int) (Builder, error) {
-	switch name {
-	case TargetCommitAdopt:
-		return CommitAdoptBuilder(n), nil
-	case TargetConsensus:
-		return ConsensusBuilder(n), nil
-	case TargetCAChain:
-		return CAChainBuilder(n), nil
-	case TargetKSet:
-		if _, err := kset.New(ksetConfig(n), nil); err != nil {
+func (t Target) build(n int) (*harness, error) {
+	if n < 1 || n > procset.MaxProcs {
+		return nil, fmt.Errorf("explore: %s needs 1 ≤ n ≤ %d, got %d", t.Name, procset.MaxProcs, n)
+	}
+	return t.harness(n)
+}
+
+// Machine returns the target's pooled builder on the production path: one
+// direct-dispatch runner per worker, machines rebuilt by Runner.Reset.
+func (t Target) Machine(n int) PooledBuilder {
+	return func() (*Run, error) {
+		h, err := t.build(n)
+		if err != nil {
 			return nil, err
 		}
-		return KSetBuilder(n), nil
-	case TargetBG:
-		if _, err := newBGSimulation(n); err != nil {
+		runner, err := sim.NewRunner(sim.Config{N: n, Machine: h.machine})
+		if err != nil {
 			return nil, err
 		}
-		return BGBuilder(n), nil
-	default:
-		return nil, unknownTarget(name)
+		return &Run{
+			Runner: runner,
+			Reset:  h.reset,
+			Check:  func() error { return h.check(procset.EmptySet) },
+		}, nil
 	}
 }
 
-// PooledTargetBuilder returns the named pooled builder for n processes. All
-// targets now run their direct-dispatch Machine ports.
+// Reference returns the target's coroutine reference form on the pooled
+// path: every schedule runs on a fresh coroutine run of a fresh harness.
+func (t Target) Reference(n int) PooledBuilder {
+	return referenceBuilder(n, func() (func(procset.ID) sim.Algorithm, func() error) {
+		h, err := t.build(n)
+		if err != nil {
+			panic(err) // the first build of the adapter already succeeded
+		}
+		return h.algo, func() error { return h.check(procset.EmptySet) }
+	})
+}
+
+// PooledTargetBuilder returns the named target's production pooled builder
+// for n processes, validating both up front.
 func PooledTargetBuilder(name string, n int) (PooledBuilder, error) {
-	switch name {
-	case TargetCommitAdopt:
-		return CommitAdoptPooledBuilder(n), nil
-	case TargetConsensus:
-		return ConsensusPooledBuilder(n), nil
-	case TargetCAChain:
-		return CAChainPooledBuilder(n), nil
-	case TargetKSet:
-		if _, err := kset.New(ksetConfig(n), nil); err != nil {
-			return nil, err
-		}
-		return KSetPooledBuilder(n), nil
-	case TargetBG:
-		if _, err := newBGSimulation(n); err != nil {
-			return nil, err
-		}
-		return BGPooledBuilder(n), nil
-	default:
-		return nil, unknownTarget(name)
+	t, err := LookupTarget(name)
+	if err != nil {
+		return nil, err
 	}
+	if _, err := t.build(n); err != nil {
+		return nil, err
+	}
+	return t.Machine(n), nil
+}
+
+// filled is the progress predicate of slot-per-process harnesses: p has
+// delivered a result.
+func filled[T comparable](results []T) func(procset.ID) bool {
+	var zero T
+	return func(p procset.ID) bool { return results[p] != zero }
+}
+
+// honestOnly returns results with the skipped processes' entries zeroed, so
+// a check written for all processes applies to the rest unmodified.
+func honestOnly[T any](results []T, skip procset.Set) []T {
+	if skip.IsEmpty() {
+		return results
+	}
+	out := make([]T, len(results))
+	copy(out, results)
+	var zero T
+	for _, p := range skip.Members() {
+		out[p] = zero
+	}
+	return out
 }
 
 // caResult is one process's delivered commit-adopt outcome.
 type caResult struct {
 	commit bool
 	val    any
+}
+
+// commitAdoptHarness runs one commit-adopt object where each process
+// proposes its id.
+func commitAdoptHarness(n int) (*harness, error) {
+	results := make([]*caResult, n+1)
+	return &harness{
+		algo: func(p procset.ID) sim.Algorithm {
+			return func(env sim.Env) {
+				c, v := commitadopt.New(env, "x").Propose(int(p))
+				results[p] = &caResult{commit: c, val: v}
+			}
+		},
+		machine: func(p procset.ID, regs sim.Registry) sim.Machine {
+			return commitadopt.NewProposeMachine(regs, "x", p, n, int(p), func(commit bool, val any) {
+				results[p] = &caResult{commit: commit, val: val}
+			})
+		},
+		reset:    func() { clear(results) },
+		check:    func(skip procset.Set) error { return checkCommitAdopt(n, honestOnly(results, skip)) },
+		progress: filled(results),
+	}, nil
 }
 
 // checkCommitAdopt enforces validity, agreement on commit, and that every
@@ -126,44 +225,61 @@ func checkCommitAdopt(n int, results []*caResult) error {
 	return nil
 }
 
-// CommitAdoptBuilder builds a commit-adopt run where each process proposes
-// its id; the check enforces validity, agreement on commit, and that every
-// finisher adopted the committed value.
-func CommitAdoptBuilder(n int) Builder {
-	return func() (func(procset.ID) sim.Algorithm, func() error) {
-		results := make([]*caResult, n+1)
-		algo := func(p procset.ID) sim.Algorithm {
+// consensusHarness runs contending Disk-Paxos proposers: process p
+// repeatedly attempts value 10p.
+func consensusHarness(n int) (*harness, error) {
+	decisions := make([]any, n+1)
+	return decisionHarness(n, decisions,
+		func(p procset.ID) sim.Algorithm {
 			return func(env sim.Env) {
-				o := commitadopt.New(env, "x")
-				c, v := o.Propose(int(p))
-				results[p] = &caResult{commit: c, val: v}
+				in := consensus.NewInstance(env, "c")
+				for {
+					if d, ok := in.Attempt(int(p) * 10); ok {
+						decisions[p] = d
+						return
+					}
+				}
 			}
-		}
-		return algo, func() error { return checkCommitAdopt(n, results) }
-	}
+		},
+		func(p procset.ID, regs sim.Registry) sim.Machine {
+			return consensus.AttemptLoopMachine(regs, "c", p, n, int(p)*10, func(d any) {
+				decisions[p] = d
+			})
+		}), nil
 }
 
-// CommitAdoptPooledBuilder is CommitAdoptBuilder on the pooled path: one
-// direct-dispatch runner per worker, machines rebuilt by Runner.Reset.
-func CommitAdoptPooledBuilder(n int) PooledBuilder {
-	return func() (*Run, error) {
-		results := make([]*caResult, n+1)
-		runner, err := sim.NewRunner(sim.Config{
-			N: n,
-			Machine: func(p procset.ID, regs sim.Registry) sim.Machine {
-				return commitadopt.NewProposeMachine(regs, "x", p, n, int(p), func(commit bool, val any) {
-					results[p] = &caResult{commit: commit, val: val}
-				})
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Run{
-			Runner: runner,
-			Reset:  func() { clear(results) },
-			Check:  func() error { return checkCommitAdopt(n, results) },
-		}, nil
+// caChainHarness runs contending commit-adopt-chain proposers: process p
+// repeatedly attempts value 10p.
+func caChainHarness(n int) (*harness, error) {
+	decisions := make([]any, n+1)
+	return decisionHarness(n, decisions,
+		func(p procset.ID) sim.Algorithm {
+			return func(env sim.Env) {
+				in := commitadopt.NewConsensus(env, "c")
+				for {
+					if d, ok := in.Attempt(int(p) * 10); ok {
+						decisions[p] = d
+						return
+					}
+				}
+			}
+		},
+		func(p procset.ID, regs sim.Registry) sim.Machine {
+			return commitadopt.NewConsensusMachine(regs, "c", p, n, int(p)*10, func(val any) {
+				decisions[p] = val
+			})
+		}), nil
+}
+
+// decisionHarness completes the harness shared by the two consensus
+// engines, whose processes write their decisions into decisions[p].
+func decisionHarness(n int, decisions []any, algo func(procset.ID) sim.Algorithm, machine func(procset.ID, sim.Registry) sim.Machine) *harness {
+	return &harness{
+		algo:     algo,
+		machine:  machine,
+		reset:    func() { clear(decisions) },
+		check:    func(skip procset.Set) error { return checkDecisions(n, honestOnly(decisions, skip)) },
+		progress: filled(decisions),
 	}
 }
 
@@ -188,95 +304,47 @@ func checkDecisions(n int, decisions []any) error {
 	return nil
 }
 
-// ConsensusBuilder builds contending Disk-Paxos proposers (process p
-// repeatedly attempts value 10p); the check enforces that decisions are
-// proposals and agree.
-func ConsensusBuilder(n int) Builder {
-	return func() (func(procset.ID) sim.Algorithm, func() error) {
-		decisions := make([]any, n+1)
-		algo := consensusAlgo(n, decisions)
-		return algo, func() error { return checkDecisions(n, decisions) }
-	}
-}
-
-// consensusAlgo is the Disk-Paxos workload shared by both consensus paths.
-func consensusAlgo(n int, decisions []any) func(procset.ID) sim.Algorithm {
-	return func(p procset.ID) sim.Algorithm {
-		return func(env sim.Env) {
-			in := consensus.NewInstance(env, "c")
-			for {
-				if d, ok := in.Attempt(int(p) * 10); ok {
-					decisions[p] = d
-					return
-				}
-			}
-		}
-	}
-}
-
-// ConsensusPooledBuilder is ConsensusBuilder on the pooled direct-dispatch
-// path, running the consensus.AttemptLoopMachine port.
-func ConsensusPooledBuilder(n int) PooledBuilder {
-	return func() (*Run, error) {
-		decisions := make([]any, n+1)
-		runner, err := sim.NewRunner(sim.Config{
-			N: n,
-			Machine: func(p procset.ID, regs sim.Registry) sim.Machine {
-				return consensus.AttemptLoopMachine(regs, "c", p, n, int(p)*10, func(d any) {
-					decisions[p] = d
-				})
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Run{
-			Runner: runner,
-			Reset:  func() { clear(decisions) },
-			Check:  func() error { return checkDecisions(n, decisions) },
-		}, nil
-	}
-}
-
-// CAChainBuilder builds contending commit-adopt-chain proposers (process p
-// repeatedly attempts value 10p); the check is the same as for consensus.
-func CAChainBuilder(n int) Builder {
-	return func() (func(procset.ID) sim.Algorithm, func() error) {
-		decisions := make([]any, n+1)
-		algo := func(p procset.ID) sim.Algorithm {
-			return func(env sim.Env) {
-				in := commitadopt.NewConsensus(env, "c")
-				for {
-					if d, ok := in.Attempt(int(p) * 10); ok {
-						decisions[p] = d
-						return
-					}
-				}
-			}
-		}
-		return algo, func() error { return checkDecisions(n, decisions) }
-	}
-}
-
-// ksetConfig is the fuzzed agreement problem for n processes: k = t = n/2,
-// which keeps the detector ∘ consensus composition (Theorem 24's path) in
-// play for every n ≥ 2.
+// ksetConfig is the explored agreement problem for n processes: k = t =
+// n/2, which keeps the detector ∘ consensus composition (Theorem 24's path)
+// in play for every n ≥ 2.
 func ksetConfig(n int) kset.Config {
-	kt := n / 2
-	if kt < 1 {
-		kt = 1
-	}
+	kt := max(n/2, 1)
 	return kset.Config{N: n, K: kt, T: kt}
 }
 
-// checkKSet enforces the two safety properties that hold on every schedule:
-// validity (decisions are proposals, here 10·p) and uniform k-agreement (at
-// most k distinct decisions). Termination is a liveness property and is not
-// required of arbitrary fuzz schedules.
-func checkKSet(cfg kset.Config, ag *kset.Agreement) error {
+// ksetHarness runs the full Theorem 24 agreement construction, process p
+// proposing 10·p.
+func ksetHarness(n int) (*harness, error) {
+	cfg := ksetConfig(n)
+	ag, err := kset.New(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	proposal := func(p procset.ID) any { return int(p) * 10 }
+	return &harness{
+		algo:    ag.Algorithm(proposal),
+		machine: ag.Machine(proposal),
+		reset:   ag.Reset,
+		check:   func(skip procset.Set) error { return checkKSet(cfg, ag, skip) },
+		progress: func(p procset.ID) bool {
+			_, ok := ag.Decision(p)
+			return ok
+		},
+	}, nil
+}
+
+// checkKSet enforces the two safety properties that hold on every schedule
+// over the processes outside skip: validity (decisions are proposals, here
+// 10·p) and uniform k-agreement (at most k distinct decisions). Termination
+// is a liveness property and is not required of arbitrary schedules.
+func checkKSet(cfg kset.Config, ag *kset.Agreement, skip procset.Set) error {
 	distinct := make(map[any]bool)
 	for p := 1; p <= cfg.N; p++ {
-		d, ok := ag.Decision(procset.ID(p))
+		id := procset.ID(p)
+		if skip.Contains(id) {
+			continue
+		}
+		d, ok := ag.Decision(id)
 		if !ok {
 			continue
 		}
@@ -292,61 +360,40 @@ func checkKSet(cfg kset.Config, ag *kset.Agreement) error {
 	return nil
 }
 
-// KSetBuilder builds the full Theorem 24 agreement run (process p proposes
-// 10·p); the check enforces validity and uniform k-agreement.
-func KSetBuilder(n int) Builder {
-	cfg := ksetConfig(n)
-	return func() (func(procset.ID) sim.Algorithm, func() error) {
-		ag, err := kset.New(cfg, nil)
-		if err != nil {
-			panic(err) // parameters were validated by TargetBuilder
-		}
-		algo := ag.Algorithm(func(p procset.ID) any { return int(p) * 10 })
-		return algo, func() error { return checkKSet(cfg, ag) }
-	}
-}
-
-// KSetPooledBuilder is KSetBuilder on the pooled direct-dispatch path,
-// running the detector-composed agreement machine.
-func KSetPooledBuilder(n int) PooledBuilder {
-	cfg := ksetConfig(n)
-	return func() (*Run, error) {
-		ag, err := kset.New(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		runner, err := sim.NewRunner(sim.Config{
-			N:       n,
-			Machine: ag.Machine(func(p procset.ID) any { return int(p) * 10 }),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Run{
-			Runner: runner,
-			Reset:  ag.Reset,
-			Check:  func() error { return checkKSet(cfg, ag) },
-		}, nil
-	}
-}
-
-// bgShape fixes the fuzzed simulation shape for n simulators: n+2 simulated
-// threads of the wait-min protocol at resilience f = n−1 (the Theorem 26
-// reduction's shape, m = f+1 simulators).
-func bgShape(n int) (threads, f int, inputs []int) {
-	threads, f = n+2, n-1
-	inputs = make([]int, threads+1)
+// bgHarness runs the BG simulation: n simulators over n+2 simulated threads
+// of the wait-min protocol at resilience f = n−1 (the Theorem 26
+// reduction's shape, m = f+1 simulators), thread i's input being 10·i.
+func bgHarness(n int) (*harness, error) {
+	threads, f := n+2, n-1
+	inputs := make([]int, threads+1)
 	for i := 1; i <= threads; i++ {
 		inputs[i] = i * 10
 	}
-	return threads, f, inputs
+	proto, err := bg.NewWaitMinProtocol(inputs, f)
+	if err != nil {
+		return nil, err
+	}
+	simn, err := bg.New(n, proto)
+	if err != nil {
+		return nil, err
+	}
+	return &harness{
+		algo:    simn.Algorithm,
+		machine: simn.Machine,
+		reset:   simn.Reset,
+		// Thread decisions are joint work of all simulators: no process can
+		// be exempted, so skip is ignored and the full check always applies.
+		check: func(procset.Set) error { return checkBG(threads, f, simn) },
+		progress: func(procset.ID) bool {
+			return simn.DecidedThreads() == threads
+		},
+	}, nil
 }
 
 // checkBG enforces the safety side of the wait-min protocol under
-// simulation: decided threads decided valid inputs, with at most f+1 = n
+// simulation: decided threads decided valid inputs, with at most f+1
 // distinct values.
-func checkBG(n int, simn *bg.Simulation) error {
-	threads, f, _ := bgShape(n)
+func checkBG(threads, f int, simn *bg.Simulation) error {
 	distinct := make(map[any]bool)
 	for i := 1; i <= threads; i++ {
 		d, ok := simn.ThreadDecision(i)
@@ -365,67 +412,37 @@ func checkBG(n int, simn *bg.Simulation) error {
 	return nil
 }
 
-func newBGSimulation(n int) (*bg.Simulation, error) {
-	_, f, inputs := bgShape(n)
-	proto, err := bg.NewWaitMinProtocol(inputs, f)
+// antiOmegaHarness runs the Figure 2 detector at k = t = n/2. Its checkable
+// safety residue is structural: a published output is either absent or
+// exactly n−k candidates inside Πn. A process progresses once it has
+// completed two detector iterations.
+func antiOmegaHarness(n int) (*harness, error) {
+	kt := max(n/2, 1)
+	det, err := antiomega.NewDetector(antiomega.Config{N: n, K: kt, T: kt}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return bg.New(n, proto)
-}
-
-// BGBuilder builds a BG simulation run (n simulators, wait-min threads); the
-// check enforces decision validity and the f+1 distinct-decision bound.
-func BGBuilder(n int) Builder {
-	return func() (func(procset.ID) sim.Algorithm, func() error) {
-		simn, err := newBGSimulation(n)
-		if err != nil {
-			panic(err) // parameters were validated by TargetBuilder
-		}
-		return simn.Algorithm, func() error { return checkBG(n, simn) }
-	}
-}
-
-// BGPooledBuilder is BGBuilder on the pooled direct-dispatch path, running
-// the simulator machine port.
-func BGPooledBuilder(n int) PooledBuilder {
-	return func() (*Run, error) {
-		simn, err := newBGSimulation(n)
-		if err != nil {
-			return nil, err
-		}
-		runner, err := sim.NewRunner(sim.Config{N: n, Machine: simn.Machine})
-		if err != nil {
-			return nil, err
-		}
-		return &Run{
-			Runner: runner,
-			Reset:  simn.Reset,
-			Check:  func() error { return checkBG(n, simn) },
-		}, nil
-	}
-}
-
-// CAChainPooledBuilder is CAChainBuilder on the pooled direct-dispatch
-// path, running the ConsensusMachine port.
-func CAChainPooledBuilder(n int) PooledBuilder {
-	return func() (*Run, error) {
-		decisions := make([]any, n+1)
-		runner, err := sim.NewRunner(sim.Config{
-			N: n,
-			Machine: func(p procset.ID, regs sim.Registry) sim.Machine {
-				return commitadopt.NewConsensusMachine(regs, "c", p, n, int(p)*10, func(val any) {
-					decisions[p] = val
-				})
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Run{
-			Runner: runner,
-			Reset:  func() { clear(decisions) },
-			Check:  func() error { return checkDecisions(n, decisions) },
-		}, nil
-	}
+	full := procset.FullSet(n)
+	return &harness{
+		algo:    det.Algorithm,
+		machine: det.Machine,
+		reset:   det.Reset,
+		check: func(skip procset.Set) error {
+			for p := 1; p <= n; p++ {
+				id := procset.ID(p)
+				if skip.Contains(id) {
+					continue
+				}
+				out := det.Output(id)
+				if out.IsEmpty() {
+					continue
+				}
+				if out.Size() != n-kt || !out.SubsetOf(full) {
+					return fmt.Errorf("p%d published malformed output %v (want %d members of Π%d)", p, out, n-kt, n)
+				}
+			}
+			return nil
+		},
+		progress: func(p procset.ID) bool { return det.Iterations(p) >= 2 },
+	}, nil
 }
