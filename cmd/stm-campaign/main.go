@@ -434,17 +434,21 @@ type record struct {
 	Summary   campaign.Summary `json:"summary"`
 }
 
+// newRecord fills the -json summary envelope for one finished campaign.
+func newRecord(c common, name string, params map[string]any, rep *campaign.Report) record {
+	return record{
+		Campaign:  name,
+		Params:    params,
+		Seed:      c.seed,
+		Workers:   rep.Workers,
+		ElapsedNS: int64(rep.Elapsed),
+		Summary:   rep.Summary,
+	}
+}
+
 func emit(w io.Writer, c common, name string, params map[string]any, rep *campaign.Report) error {
 	if c.jsonOut {
-		enc := json.NewEncoder(w)
-		return enc.Encode(record{
-			Campaign:  name,
-			Params:    params,
-			Seed:      c.seed,
-			Workers:   rep.Workers,
-			ElapsedNS: int64(rep.Elapsed),
-			Summary:   rep.Summary,
-		})
+		return json.NewEncoder(w).Encode(newRecord(c, name, params, rep))
 	}
 	s := rep.Summary
 	fmt.Fprintf(w, "campaign %s: %d jobs, %d completed, %d ok, %d failed (workers=%d, %.3fs)\n",
@@ -457,6 +461,21 @@ func emit(w io.Writer, c common, name string, params map[string]any, rep *campai
 			s.Steps.Min, s.Steps.P50, s.Steps.P90, s.Steps.P99, s.Steps.Max, s.Steps.Mean)
 	}
 	return nil
+}
+
+// failed ends a campaign that stopped on a violation or a failure: line goes
+// to w, or to stderr under -json so w stays parseable; then the summary is
+// emitted through emitSummary, and the campaign fails with msg.
+func failed(w, stderr io.Writer, jsonOut bool, line string, emitSummary func() error, msg string) error {
+	dst := w
+	if jsonOut {
+		dst = stderr
+	}
+	fmt.Fprintln(dst, line)
+	if err := emitSummary(); err != nil {
+		return err
+	}
+	return errors.New(msg)
 }
 
 // parseRange parses "2" or "1:3" into an inclusive [lo, hi].
@@ -585,7 +604,8 @@ func cmdFuzz(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	s, err := c.begin(ctx, "fuzz", args, fuzzParams(*target, *n, *steps, *schedules))
+	params := map[string]any{"target": *target, "n": *n, "steps": *steps, "schedules": *schedules}
+	s, err := c.begin(ctx, "fuzz", args, params)
 	if err != nil {
 		return err
 	}
@@ -603,21 +623,12 @@ func cmdFuzz(ctx context.Context, args []string, w io.Writer) error {
 	if err = s.finish(err); err != nil {
 		var v *explore.Violation
 		if rep != nil && errors.As(err, &v) {
-			// Keep stdout parseable in -json mode: the human-readable
-			// violation line goes to stderr there.
-			dst := w
-			if c.jsonOut {
-				dst = os.Stderr
-			}
-			fmt.Fprintf(dst, "VIOLATION after %d runs: %v\n", runs, v)
-			if eerr := emit(w, c, "fuzz", fuzzParams(*target, *n, *steps, *schedules), rep); eerr != nil {
-				return eerr
-			}
-			return fmt.Errorf("fuzz campaign found a violation")
+			return failed(w, os.Stderr, c.jsonOut, fmt.Sprintf("VIOLATION after %d runs: %v", runs, v),
+				func() error { return emit(w, c, "fuzz", params, rep) }, "fuzz campaign found a violation")
 		}
 		return err
 	}
-	if err := emit(w, c, "fuzz", fuzzParams(*target, *n, *steps, *schedules), rep); err != nil {
+	if err := emit(w, c, "fuzz", params, rep); err != nil {
 		return err
 	}
 	return checkDegraded(rep)
@@ -661,15 +672,8 @@ func cmdExhaustive(ctx context.Context, args []string, w io.Writer) error {
 		if err = s.finish(err); err != nil {
 			var v *explore.Violation
 			if rep != nil && errors.As(err, &v) {
-				dst := w
-				if c.jsonOut {
-					dst = os.Stderr
-				}
-				fmt.Fprintf(dst, "VIOLATION after %d runs: %v\n", runs, v)
-				if eerr := emit(w, c, "exhaustive", params, rep); eerr != nil {
-					return eerr
-				}
-				return fmt.Errorf("exhaustive campaign found a violation")
+				return failed(w, os.Stderr, c.jsonOut, fmt.Sprintf("VIOLATION after %d runs: %v", runs, v),
+					func() error { return emit(w, c, "exhaustive", params, rep) }, "exhaustive campaign found a violation")
 			}
 			return err
 		}
@@ -688,17 +692,13 @@ func cmdExhaustive(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		var v *explore.Violation
 		if errors.As(err, &v) {
-			dst := w
-			if c.jsonOut {
-				dst = os.Stderr
-			}
-			fmt.Fprintf(dst, "VIOLATION after %d canonical schedules: %v\n", stats.Schedules, v)
-			if c.jsonOut {
-				if eerr := json.NewEncoder(w).Encode(summary); eerr != nil {
-					return eerr
-				}
-			}
-			return fmt.Errorf("exhaustive sweep found a violation")
+			return failed(w, os.Stderr, c.jsonOut, fmt.Sprintf("VIOLATION after %d canonical schedules: %v", stats.Schedules, v),
+				func() error {
+					if c.jsonOut {
+						return json.NewEncoder(w).Encode(summary)
+					}
+					return nil
+				}, "exhaustive sweep found a violation")
 		}
 		return err
 	}
@@ -708,10 +708,6 @@ func cmdExhaustive(ctx context.Context, args []string, w io.Writer) error {
 	fmt.Fprintf(w, "exhaustive %s: n=%d depth=%d: %d of %d schedules executed (%.1fx reduction), %d states expanded, %d simulator steps\n",
 		*target, *n, *depth, stats.Schedules, stats.Total, stats.Ratio(), stats.States, stats.Steps)
 	return nil
-}
-
-func fuzzParams(target string, n, steps, schedules int) map[string]any {
-	return map[string]any{"target": target, "n": n, "steps": steps, "schedules": schedules}
 }
 
 // parseCrashPatterns parses "p1@3;p2@0,p4@9": patterns separated by ';',
@@ -772,15 +768,8 @@ func cmdAdversarial(ctx context.Context, args []string, w io.Writer) error {
 	rep, executed, err := explore.AdversarialPooledCampaign(s.ctx, c.workers, *n, *steps, *runs, c.seed, s.sink)
 	if err = s.finish(err); err != nil {
 		if rep != nil {
-			dst := w
-			if c.jsonOut {
-				dst = os.Stderr
-			}
-			fmt.Fprintf(dst, "FAILED after %d runs: %v\n", executed, err)
-			if eerr := emit(w, c, "adversarial", params, rep); eerr != nil {
-				return eerr
-			}
-			return fmt.Errorf("adversarial campaign failed")
+			return failed(w, os.Stderr, c.jsonOut, fmt.Sprintf("FAILED after %d runs: %v", executed, err),
+				func() error { return emit(w, c, "adversarial", params, rep) }, "adversarial campaign failed")
 		}
 		return err
 	}
@@ -865,14 +854,7 @@ func cmdByzantine(ctx context.Context, args []string, w io.Writer) error {
 		if err := enc.Encode(struct {
 			record
 			Cells []explore.ByzCell `json:"cells"`
-		}{record{
-			Campaign:  "byzantine",
-			Params:    params,
-			Seed:      c.seed,
-			Workers:   rep.Workers,
-			ElapsedNS: int64(rep.Elapsed),
-			Summary:   rep.Summary,
-		}, cells}); err != nil {
+		}{newRecord(c, "byzantine", params, rep), cells}); err != nil {
 			return err
 		}
 	} else {
@@ -958,14 +940,7 @@ func cmdNetConv(ctx context.Context, args []string, w io.Writer) error {
 		return json.NewEncoder(w).Encode(struct {
 			record
 			Cells []explore.NetCell `json:"cells"`
-		}{record{
-			Campaign:  "netconv",
-			Params:    params,
-			Seed:      c.seed,
-			Workers:   rep.Workers,
-			ElapsedNS: int64(rep.Elapsed),
-			Summary:   rep.Summary,
-		}, cells})
+		}{newRecord(c, "netconv", params, rep), cells})
 	}
 	tb := trace.NewTable(
 		fmt.Sprintf("detector convergence over graded link matrices: n=%d, %d runs/matrix", *n, *runs),

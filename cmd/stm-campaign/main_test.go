@@ -62,6 +62,33 @@ func TestParseCrashPatterns(t *testing.T) {
 	}
 }
 
+// TestFailedRoutesReport pins the shared violation/failure tail: the report
+// line goes to stdout, or to stderr under -json so stdout stays parseable;
+// the summary follows on stdout either way, and the campaign fails with the
+// given message (or with the summary's own error).
+func TestFailedRoutesReport(t *testing.T) {
+	t.Parallel()
+	for _, jsonOut := range []bool{false, true} {
+		var stdout, stderr bytes.Buffer
+		err := failed(&stdout, &stderr, jsonOut, "VIOLATION after 3 runs: boom",
+			func() error { stdout.WriteString("{\"summary\":1}\n"); return nil }, "fuzz campaign found a violation")
+		if err == nil || err.Error() != "fuzz campaign found a violation" {
+			t.Errorf("json=%v: err = %v", jsonOut, err)
+		}
+		wantOut, wantErr := "VIOLATION after 3 runs: boom\n{\"summary\":1}\n", ""
+		if jsonOut {
+			wantOut, wantErr = "{\"summary\":1}\n", "VIOLATION after 3 runs: boom\n"
+		}
+		if stdout.String() != wantOut || stderr.String() != wantErr {
+			t.Errorf("json=%v: stdout %q stderr %q, want %q and %q", jsonOut, stdout.String(), stderr.String(), wantOut, wantErr)
+		}
+	}
+	emitErr := errors.New("encode failed")
+	if err := failed(io.Discard, io.Discard, true, "x", func() error { return emitErr }, "m"); err != emitErr {
+		t.Errorf("summary error not returned: %v", err)
+	}
+}
+
 func TestMatrixCampaignSmoke(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer

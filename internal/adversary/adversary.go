@@ -34,9 +34,9 @@
 // identified by its interned dense id (no string parsing, no StepInfo). Its
 // state is dense to match — the parked set is a bitset over Πn, park records
 // live in a flat array, and per-instance ballot maxima in a slice indexed by
-// the interned instance id. The legacy per-step Drive loop is retained; both
-// drivers make bit-identical scheduling decisions (pinned by the package's
-// equivalence tests).
+// the interned instance id. On coroutine and observed runners the same
+// director runs through the simulator's generic per-step directed loop, the
+// reference the fast path is tested against.
 package adversary
 
 import (
@@ -95,8 +95,7 @@ type Adversary struct {
 	maxBallot []int
 
 	// table resolves register slots to (instance, kind) metadata; it is
-	// bound to the runner DriveDirected last ran against. The legacy Drive
-	// loop shares its instance numbering through InstanceID.
+	// bound to the runner DriveDirected last ran against.
 	table   *consensus.Table
 	boundTo *sim.Runner
 
@@ -218,11 +217,7 @@ func (a *Adversary) OnWrite(slot sim.RegID, proc procset.ID, value any) {
 	if e.Kind != consensus.RegisterBallot {
 		return
 	}
-	a.onBallotWrite(e.Instance, proc, value)
-}
-
-// onBallotWrite applies the park/resume rules, shared by both drivers.
-func (a *Adversary) onBallotWrite(instance int, proc procset.ID, value any) {
+	instance := e.Instance
 	mbal, _, phase2, ok := consensus.BlockInfo(value)
 	if !ok {
 		return
@@ -250,58 +245,23 @@ func (a *Adversary) onBallotWrite(instance int, proc procset.ID, value any) {
 	}
 }
 
-// RegisterBallotKind aliases the consensus register kind for observe.
-const RegisterBallotKind = consensus.RegisterBallot
-
-// DriveDirected executes up to maxSteps steps against the runner on the
-// simulator's directed fast path, checking stop every checkEvery steps. It
-// returns the number of steps taken and whether the stop predicate fired.
-// Scheduling decisions, park/resume behavior, and the recorded schedule are
-// bit-identical to Drive's.
-func (a *Adversary) DriveDirected(runner *sim.Runner, maxSteps, checkEvery int, stop func() bool) (int, bool) {
+// bind points the register-metadata table at runner's slot namespace. A new
+// runner means new slot ids, so the table is rebound; instance numbering
+// survives, so accumulated ballot maxima keep their meaning.
+func (a *Adversary) bind(runner *sim.Runner) {
 	if a.boundTo != runner {
-		// A new runner means a new slot namespace: rebind the metadata
-		// table (instance numbering survives, so accumulated ballot maxima
-		// keep their meaning).
 		a.boundTo = runner
 		a.table.Rebind(runner.RegName)
 	}
+}
+
+// DriveDirected executes up to maxSteps steps against the runner on the
+// simulator's directed loop, checking stop every checkEvery steps. It
+// returns the number of steps taken and whether the stop predicate fired.
+func (a *Adversary) DriveDirected(runner *sim.Runner, maxSteps, checkEvery int, stop func() bool) (int, bool) {
+	a.bind(runner)
 	res := runner.RunDirected(a, maxSteps, checkEvery, stop)
 	return res.Steps, res.Stopped
-}
-
-// Drive executes up to maxSteps steps against the runner through the generic
-// per-step Step/StepInfo path, checking stop every checkEvery steps. It is
-// the legacy driver, retained as the independent reference implementation
-// the directed path is tested against (and the only driver for observed
-// runners, whose observers need the per-step StepInfo anyway).
-func (a *Adversary) Drive(runner *sim.Runner, maxSteps, checkEvery int, stop func() bool) (int, bool) {
-	if checkEvery <= 0 {
-		checkEvery = 1
-	}
-	for i := 0; i < maxSteps; i++ {
-		p := a.Next()
-		info := runner.Step(p)
-		a.observe(info)
-		if stop != nil && (i+1)%checkEvery == 0 && stop() {
-			return i + 1, true
-		}
-	}
-	return maxSteps, false
-}
-
-// observe updates the park/resume state from an executed step, classifying
-// the register by name — the string-parsing path the interned metadata
-// replaces on directed runs.
-func (a *Adversary) observe(info sim.StepInfo) {
-	if info.Kind != sim.OpWrite {
-		return
-	}
-	instance, kind := consensus.ParseRegister(info.Reg)
-	if kind != RegisterBallotKind {
-		return
-	}
-	a.onBallotWrite(a.table.InstanceID(instance), info.Proc, info.Value)
 }
 
 // MaxParked returns the number of processes currently parked (diagnostics;

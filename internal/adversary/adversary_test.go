@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/settimeliness/settimeliness/internal/consensus"
 	"github.com/settimeliness/settimeliness/internal/kset"
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sched"
@@ -68,7 +69,7 @@ func TestParkingPreventsDecisions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			steps, stopped := adv.Drive(runner, 250_000, 100, func() bool {
+			steps, stopped := adv.DriveDirected(runner, 250_000, 100, func() bool {
 				return !ag.DecidedSet().IsEmpty()
 			})
 			if stopped {
@@ -101,7 +102,7 @@ func TestParkedNeverExceedsInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	worst := 0
-	adv.Drive(runner, 120_000, 1, func() bool {
+	adv.DriveDirected(runner, 120_000, 1, func() bool {
 		if adv.MaxParked() > worst {
 			worst = adv.MaxParked()
 		}
@@ -122,7 +123,7 @@ func TestCrashedTailNeverScheduled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv.Drive(runner, 50_000, 0, nil)
+	adv.DriveDirected(runner, 50_000, 0, nil)
 	s := adv.Schedule()
 	if got := s.Steps(crashed); got != 0 {
 		t.Errorf("crashed processes took %d steps", got)
@@ -133,7 +134,7 @@ func TestCrashedTailNeverScheduled(t *testing.T) {
 }
 
 // advOutcome is everything observable about one adversarial run, compared
-// bit for bit across drivers, execution modes, and pooled reuse.
+// bit for bit across execution modes and pooled reuse.
 type advOutcome struct {
 	steps    int
 	stopped  bool
@@ -142,7 +143,7 @@ type advOutcome struct {
 	parked   int
 }
 
-func driveOutcome(t *testing.T, cfg kset.Config, crashed procset.Set, budget int, machineMode, directed bool, reuse int) advOutcome {
+func driveOutcome(t *testing.T, cfg kset.Config, crashed procset.Set, budget int, machineMode bool, reuse int) advOutcome {
 	t.Helper()
 	ag, runner := newKsetRunner(t, cfg, machineMode)
 	defer runner.Close()
@@ -159,14 +160,8 @@ func driveOutcome(t *testing.T, cfg kset.Config, crashed procset.Set, budget int
 				t.Fatal(err)
 			}
 		}
-		stop := func() bool { return !ag.DecidedSet().IsEmpty() }
-		var steps int
-		var stopped bool
-		if directed {
-			steps, stopped = adv.DriveDirected(runner, budget, 200, stop)
-		} else {
-			steps, stopped = adv.Drive(runner, budget, 200, stop)
-		}
+		steps, stopped := adv.DriveDirected(runner, budget, 200, func() bool { return !ag.DecidedSet().IsEmpty() })
+		checkTableAgainstNames(t, adv, runner)
 		out = advOutcome{
 			steps:    steps,
 			stopped:  stopped,
@@ -178,10 +173,32 @@ func driveOutcome(t *testing.T, cfg kset.Config, crashed procset.Set, budget int
 	return out
 }
 
-// TestDirectedMatchesDrive pins the tentpole's equivalence: the directed
-// fast path produces bit-identical schedules, park/resume decisions, and
-// outcomes to the legacy per-step Drive loop — across configurations, crash
-// sets, execution modes, and Reset reuse.
+// checkTableAgainstNames is the independent, name-parsing oracle for the
+// adversary's dense register metadata: every interned slot must classify
+// exactly as consensus.ParseRegister classifies the slot's name.
+func checkTableAgainstNames(t *testing.T, adv *Adversary, runner *sim.Runner) {
+	t.Helper()
+	for id := sim.RegID(0); int(id) < runner.Registers(); id++ {
+		name := runner.RegName(id)
+		instance, kind := consensus.ParseRegister(name)
+		e := adv.table.Entry(id)
+		switch {
+		case e.Kind != kind:
+			t.Fatalf("slot %d %q: table kind %v, parsed %v", id, name, e.Kind, kind)
+		case kind == consensus.RegisterUnknown && e.Instance != -1:
+			t.Fatalf("slot %d %q: non-consensus register mapped to instance %d", id, name, e.Instance)
+		case kind != consensus.RegisterUnknown && adv.table.InstanceName(e.Instance) != instance:
+			t.Fatalf("slot %d %q: table instance %q, parsed %q", id, name, adv.table.InstanceName(e.Instance), instance)
+		}
+	}
+}
+
+// TestDirectedMatchesDrive pins the directed fast path against its
+// references: the machine-mode directed loop produces bit-identical
+// schedules, park/resume decisions, and outcomes to the coroutine runner's
+// generic per-step directed loop and to the third run on one pooled rig —
+// across configurations and crash sets — while its dense register metadata
+// agrees with the register names slot for slot.
 func TestDirectedMatchesDrive(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -198,24 +215,18 @@ func TestDirectedMatchesDrive(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			legacy := driveOutcome(t, tc.cfg, tc.crashed, budget, true, false, 0)
-			directed := driveOutcome(t, tc.cfg, tc.crashed, budget, true, true, 0)
-			if legacy != directed {
-				t.Errorf("directed diverges from legacy Drive:\n  legacy   %+v\n  directed %+v",
-					redact(legacy), redact(directed))
-			}
-			// The directed fast path vs the generic directed loop (coroutine
-			// runner): same decisions through a completely different engine.
-			coroutine := driveOutcome(t, tc.cfg, tc.crashed, budget, false, true, 0)
-			if legacy != coroutine {
-				t.Errorf("coroutine directed run diverges:\n  legacy    %+v\n  coroutine %+v",
-					redact(legacy), redact(coroutine))
+			directed := driveOutcome(t, tc.cfg, tc.crashed, budget, true, 0)
+			// Same decisions through a completely different engine.
+			coroutine := driveOutcome(t, tc.cfg, tc.crashed, budget, false, 0)
+			if directed != coroutine {
+				t.Errorf("coroutine directed run diverges:\n  machine   %+v\n  coroutine %+v",
+					redact(directed), redact(coroutine))
 			}
 			// Reset reuse: the third run on one pooled rig replays the first.
-			reused := driveOutcome(t, tc.cfg, tc.crashed, budget, true, true, 2)
-			if legacy != reused {
+			reused := driveOutcome(t, tc.cfg, tc.crashed, budget, true, 2)
+			if directed != reused {
 				t.Errorf("pooled reuse diverges:\n  fresh  %+v\n  reused %+v",
-					redact(legacy), redact(reused))
+					redact(directed), redact(reused))
 			}
 		})
 	}

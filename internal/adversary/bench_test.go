@@ -9,16 +9,18 @@ import (
 )
 
 // newBenchRig builds the Theorem 24 workload on the machine engine plus a
-// pooled adversary, the exact configuration of the negative matrix cells.
-func newBenchRig(b *testing.B, cfg kset.Config) (*kset.Agreement, *sim.Runner, *Adversary) {
+// pooled adversary, the exact configuration of the negative matrix cells;
+// noRecycle builds the runner a mutating director needs.
+func newBenchRig(b *testing.B, cfg kset.Config, noRecycle bool) (*kset.Agreement, *sim.Runner, *Adversary) {
 	b.Helper()
 	ag, err := kset.New(cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	runner, err := sim.NewRunner(sim.Config{
-		N:       cfg.N,
-		Machine: ag.Machine(func(p procset.ID) any { return int(p) }),
+		N:         cfg.N,
+		Machine:   ag.Machine(func(p procset.ID) any { return int(p) }),
+		NoRecycle: noRecycle,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -31,25 +33,30 @@ func newBenchRig(b *testing.B, cfg kset.Config) (*kset.Agreement, *sim.Runner, *
 	return ag, runner, adv
 }
 
-// BenchmarkAdversaryDrive compares the legacy per-step Drive loop (Step →
-// StepInfo → name parsing) against the directed fast path (RunDirected →
-// dense metadata) on the same workload. This is the PR-4 tentpole's
-// before/after measurement; the bench-smoke CI job runs it.
+// BenchmarkAdversaryDrive measures the directed loop on the Theorem 24
+// workload: the parking adversary alone (the honest path, nil mutator), and
+// the same adversary wrapped in an inert Byzantine director on a NoRecycle
+// runner (the mutating path with every write passed through unchanged).
+// The bench-smoke CI job runs it.
 func BenchmarkAdversaryDrive(b *testing.B) {
 	cfg := kset.Config{N: 4, K: 2, T: 2}
-	b.Run("legacy", func(b *testing.B) {
-		_, runner, adv := newBenchRig(b, cfg)
-		defer runner.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		adv.Drive(runner, b.N, 200, nil)
-	})
 	b.Run("directed", func(b *testing.B) {
-		_, runner, adv := newBenchRig(b, cfg)
+		_, runner, adv := newBenchRig(b, cfg, false)
 		defer runner.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
 		adv.DriveDirected(runner, b.N, 200, nil)
+	})
+	b.Run("byzantine-inert", func(b *testing.B) {
+		_, runner, adv := newBenchRig(b, cfg, true)
+		defer runner.Close()
+		byz, err := NewByzantine(ByzantineConfig{N: cfg.N, Strategy: StrategyNone, Inner: adv})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		byz.DriveDirected(runner, b.N, 200, nil)
 	})
 }
 

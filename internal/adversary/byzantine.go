@@ -137,8 +137,8 @@ type Mutation struct {
 	Wrote any
 }
 
-// Byzantine is a sim.DirectorRW: a scheduling director with the pre-write
-// interception hook. It pools — Reconfigure (new population/strategy) or
+// Byzantine is a sim.Director with the pre-write interception hook
+// (sim.WriteMutator). It pools — Reconfigure (new population/strategy) or
 // Reset (same config) return it to its initial state so campaign workers
 // reuse one director per rig.
 type Byzantine struct {
@@ -310,20 +310,17 @@ func (b *Byzantine) FormatTrace(r *sim.Runner) string {
 	return sb.String()
 }
 
-// DriveDirected runs the director against the runner on the mutating
-// directed fast path: fault classes are tagged on the runner (so StepInfo
-// streams and flight dumps show who was faulty), a composed parking
-// adversary gets its register-metadata table bound, and the runner steps
-// under pre-write interception. The runner must be machine-mode,
+// DriveDirected runs the director against the runner on the directed loop:
+// fault classes are tagged on the runner (so StepInfo streams and flight
+// dumps show who was faulty), a composed parking adversary gets its
+// register-metadata table bound, and the runner steps under pre-write
+// interception. The runner must be machine-mode,
 // observer-free, and built with Config.NoRecycle.
 func (b *Byzantine) DriveDirected(runner *sim.Runner, maxSteps, checkEvery int, stop func() bool) (int, bool) {
 	crashed := b.cfg.Crashed
 	if inner, ok := b.cfg.Inner.(*Adversary); ok {
 		crashed = inner.cfg.CrashedFromStart
-		if inner.boundTo != runner {
-			inner.boundTo = runner
-			inner.table.Rebind(runner.RegName)
-		}
+		inner.bind(runner)
 	}
 	for _, p := range crashed.Members() {
 		runner.SetFaultClass(p, sim.FaultCrashed)

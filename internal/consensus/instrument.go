@@ -68,8 +68,8 @@ type Table struct {
 }
 
 // NewTable builds an empty table over the given slot-name resolver
-// (typically Runner.RegName). The resolver may be nil for consumers that
-// only use the instance-interning half (InstanceID) until a Rebind.
+// (typically Runner.RegName). The resolver may be nil until a Rebind, as
+// long as no slot is looked up before it.
 func NewTable(name func(sim.RegID) string) *Table {
 	return &Table{name: name, instances: make(map[string]int)}
 }
@@ -111,19 +111,6 @@ func (t *Table) extend(id sim.RegID) TableEntry {
 		t.meta = append(t.meta, e)
 	}
 	return t.meta[id]
-}
-
-// InstanceID returns the dense id of the named instance, interning it if
-// needed. Legacy per-step observers share the table's numbering this way, so
-// dense consumers and string-parsing consumers agree on instance ids.
-func (t *Table) InstanceID(instance string) int {
-	idx, ok := t.instances[instance]
-	if !ok {
-		idx = len(t.names)
-		t.instances[instance] = idx
-		t.names = append(t.names, instance)
-	}
-	return idx
 }
 
 // NumInstances returns how many distinct consensus instances the table has

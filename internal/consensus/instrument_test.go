@@ -47,23 +47,22 @@ func TestTable(t *testing.T) {
 		return names[id]
 	})
 	// Out-of-order first lookup extends through every earlier slot.
-	if e := tb.Entry(2); e.Kind != RegisterBallot || e.Instance != tb.InstanceID("kset[1]") {
-		t.Errorf("slot 2 = %+v", e)
+	e2 := tb.Entry(2)
+	if e2.Kind != RegisterBallot || tb.InstanceName(e2.Instance) != "kset[1]" {
+		t.Errorf("slot 2 = %+v", e2)
 	}
-	if e := tb.Entry(0); e.Kind != RegisterBallot || e.Instance != tb.InstanceID("kset[0]") {
-		t.Errorf("slot 0 = %+v", e)
+	e0 := tb.Entry(0)
+	if e0.Kind != RegisterBallot || tb.InstanceName(e0.Instance) != "kset[0]" {
+		t.Errorf("slot 0 = %+v", e0)
 	}
-	if e := tb.Entry(3); e.Kind != RegisterDecision || e.Instance != tb.InstanceID("kset[0]") {
-		t.Errorf("slot 3 = %+v", e)
+	if e := tb.Entry(3); e.Kind != RegisterDecision || e.Instance != e0.Instance {
+		t.Errorf("slot 3 = %+v, want instance %d", e, e0.Instance)
 	}
 	if e := tb.Entry(4); e.Kind != RegisterUnknown || e.Instance != -1 {
 		t.Errorf("slot 4 = %+v", e)
 	}
 	if tb.NumInstances() != 2 {
 		t.Errorf("NumInstances = %d, want 2", tb.NumInstances())
-	}
-	if tb.InstanceName(tb.InstanceID("kset[1]")) != "kset[1]" {
-		t.Error("instance name round trip failed")
 	}
 	// Each slot's name is parsed exactly once.
 	before := resolved
@@ -77,7 +76,7 @@ func TestTable(t *testing.T) {
 		t.Errorf("resolved %d names, want %d", resolved, len(names))
 	}
 	// Rebind discards the slot cache but keeps the instance numbering.
-	kset1 := tb.InstanceID("kset[1]")
+	kset1 := e2.Instance
 	tb.Rebind(func(id sim.RegID) string { return "consensus[kset[1]].X[1]" })
 	if e := tb.Entry(0); e.Instance != kset1 {
 		t.Errorf("instance id changed across Rebind: %d vs %d", e.Instance, kset1)

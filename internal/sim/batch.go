@@ -1,18 +1,19 @@
-// The batched execution loop: the machine path's answer to Run's per-step
-// overhead. Run and RunSchedule pay, per step, one interface dispatch on the
-// schedule source, a StepInfo materialization, an observer branch, and a
-// stop-predicate modulus. None of that is needed on the hot configuration —
-// a machine-mode runner with no observer driving millions of steps between
-// stop checks — so RunBatch prefetches schedule entries in blocks (through
-// sched.BlockSource when the source provides it) and executes each block in
-// a tight loop of inlined machine dispatch that constructs no StepInfo at
-// all. The stop()/checkEvery branching is hoisted out of the inner loop:
-// blocks are sized so checks land exactly on the multiples of checkEvery
-// where Run would have performed them.
+// The batched execution loop behind Run and RunSchedule. A per-step loop
+// pays, per step, one interface dispatch on the schedule source, a StepInfo
+// materialization, an observer branch, and a stop-predicate modulus. None of
+// that is needed on the hot configuration — a machine-mode runner with no
+// observer driving millions of steps between stop checks — so Run prefetches
+// schedule entries in blocks (through sched.BlockSource when the source
+// provides it) and executes each block in a tight loop of inlined machine
+// dispatch that constructs no StepInfo at all. The stop()/checkEvery
+// branching is hoisted out of the inner loop: blocks are sized so checks
+// land exactly on the multiples of checkEvery where a per-step loop would
+// have performed them.
 //
-// The coroutine path keeps the per-step loop: every one of its steps blocks
-// on two channel handoffs anyway, so batching would complicate the engine
-// for a path whose cost is dominated by synchronization, not dispatch.
+// The coroutine path keeps the per-step loop (runGeneric): every one of its
+// steps blocks on two channel handoffs anyway, so batching would complicate
+// the engine for a path whose cost is dominated by synchronization, not
+// dispatch.
 
 package sim
 
@@ -28,14 +29,13 @@ import (
 // and to keep partial blocks (between stop checks) cheap to fill.
 const batchBlock = 256
 
-// RunBatch drives the runner with steps from src until the stop predicate
-// returns true (checked every checkEvery steps; 0 means every step) or
-// maxSteps have been executed — the same contract as Run, of which it is the
-// fast path. Machine-mode runners without an observer execute on the batched
-// loop; any other configuration falls back to the generic per-step loop, so
-// RunBatch is always safe to call. Runs are bit-identical across the two
-// loops and across engine modes.
-func (r *Runner) RunBatch(src sched.Source, maxSteps, checkEvery int, stop func() bool) RunResult {
+// Run drives the runner with steps from src until the stop predicate returns
+// true (checked every checkEvery steps; 0 means every step) or maxSteps have
+// been executed. stop may be nil. Machine-mode runners without an observer
+// execute on the batched loop; any other configuration takes the generic
+// per-step loop. Runs are bit-identical across the two loops and across
+// engine modes.
+func (r *Runner) Run(src sched.Source, maxSteps, checkEvery int, stop func() bool) RunResult {
 	if checkEvery <= 0 {
 		checkEvery = 1
 	}
@@ -47,8 +47,8 @@ func (r *Runner) RunBatch(src sched.Source, maxSteps, checkEvery int, stop func(
 	}
 	// The prefetch buffer lives on the runner: handed to the schedule source
 	// through an interface it would escape, costing one 2 KiB heap
-	// allocation per RunBatch call — visible to the zero-overhead guard now
-	// that short pooled runs call RunBatch millions of times per campaign.
+	// allocation per Run call — visible to the zero-overhead guard now that
+	// short pooled runs call Run millions of times per campaign.
 	buf := &r.batchBuf
 	executed := 0
 	for executed < maxSteps {

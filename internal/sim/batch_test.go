@@ -38,7 +38,7 @@ func sameFingerprint(t *testing.T, label string, a, b runnerFingerprint) {
 	}
 }
 
-// TestRunBatchMatchesStepLoop pins the batch loop's contract: RunBatch on a
+// TestRunBatchMatchesStepLoop pins the batch loop's contract: Run on a
 // machine runner produces the same RunResult and the same runner state as
 // stepping the identical schedule one Step call at a time.
 func TestRunBatchMatchesStepLoop(t *testing.T) {
@@ -66,7 +66,7 @@ func TestRunBatchMatchesStepLoop(t *testing.T) {
 	stop := func(r *Runner) func() bool {
 		return func() bool { return r.StepsTaken(1) >= stopAt }
 	}
-	gotRes := batch.RunBatch(schedule(), maxSteps, checkEvery, stop(batch))
+	gotRes := batch.Run(schedule(), maxSteps, checkEvery, stop(batch))
 
 	// Reference: the per-step loop over the same schedule and predicate.
 	ref := build()
@@ -80,7 +80,7 @@ func TestRunBatchMatchesStepLoop(t *testing.T) {
 		}
 	}
 	if gotRes != wantRes {
-		t.Fatalf("RunBatch result %+v, step loop %+v", gotRes, wantRes)
+		t.Fatalf("Run result %+v, step loop %+v", gotRes, wantRes)
 	}
 	sameFingerprint(t, "batch vs step loop", fingerprint(batch, n), fingerprint(ref, n))
 }
@@ -187,6 +187,6 @@ func BenchmarkRunBatch(b *testing.B) {
 		defer r.Close()
 		src := newSrc(b)
 		b.ResetTimer()
-		r.RunBatch(src, b.N, 500, func() bool { return false })
+		r.Run(src, b.N, 500, func() bool { return false })
 	})
 }

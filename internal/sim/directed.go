@@ -8,7 +8,9 @@
 // identified by its dense RegID instead of a name to parse. RunDirected
 // drives the director through an inlined machine-dispatch loop that
 // materializes no StepInfo at all and hoists the stop/checkEvery branching
-// out of the inner loop exactly like RunBatch.
+// out of the inner loop exactly like Run. The Byzantine plane's pre-write
+// hook (WriteMutator) rides the same loop as an argument that is nil for
+// honest directors: one directed loop serves every fault model.
 //
 // This mirrors the adaptive-adversary-as-scheduler framing used by
 // lower-bound executions in the literature: the adversary IS the schedule
@@ -46,10 +48,10 @@ type Director interface {
 //
 // Contract: OnWrite still fires after the write with the value that landed
 // (the mutated one), so schedule-reactive state sees shared-memory reality.
-// Mutating directors run only on the machine-mode directed fast path and
-// require a runner built with Config.NoRecycle — a replayed old (or an
-// honest value retained for later injection) outlives the overwrite that
-// would normally retire it, which breaks the arena recycler's reuse
+// The mutator is an argument of the one directed loop (nil for honest
+// directors), which exists only on machine-mode, observer-free runners, and
+// mutating directors need Config.NoRecycle — a replayed old (or an honest
+// value retained for later injection) outlives the arena recycler's reuse
 // horizon; RunDirected panics on violations of either requirement rather
 // than silently dropping mutations. Mutated values must respect the
 // invariants the algorithms' readers check at runtime (e.g. int-typed
@@ -59,27 +61,21 @@ type WriteMutator interface {
 	MutateWrite(slot RegID, proc procset.ID, old, value any) any
 }
 
-// DirectorRW is a director with the pre-write interception hook — the
-// interface Byzantine adversaries implement.
-type DirectorRW interface {
-	Director
-	WriteMutator
-}
-
 // RunDirected drives the runner with steps chosen by the director until the
 // stop predicate returns true (checked every checkEvery steps; 0 means every
 // step) or maxSteps have been executed — Run's contract with the schedule
 // source replaced by an adaptive director. Machine-mode runners without an
-// observer execute on the inlined fast loop; other configurations fall back
-// to a generic per-step loop with identical observable behavior (schedules,
-// write callbacks, stop decisions).
+// observer execute on the inlined fast loop, with the director's
+// WriteMutator (if it implements one) consulted before each write; other
+// configurations fall back to a generic per-step loop with identical
+// observable behavior (schedules, write callbacks, stop decisions).
 func (r *Runner) RunDirected(d Director, maxSteps, checkEvery int, stop func() bool) RunResult {
 	if checkEvery <= 0 {
 		checkEvery = 1
 	}
-	mut, mutating := d.(WriteMutator)
+	mut, _ := d.(WriteMutator)
 	if r.machine == nil || r.observer != nil {
-		if mutating {
+		if mut != nil {
 			// Mutation exists only on the machine fast path: the generic loop
 			// would execute writes before the director could intercept them,
 			// and silently-honest "Byzantine" runs are a false-green hazard.
@@ -90,22 +86,19 @@ func (r *Runner) RunDirected(d Director, maxSteps, checkEvery int, stop func() b
 	if r.closed {
 		panic("sim: Step after Close")
 	}
-	if mutating {
-		if r.mem.recycleOK {
-			panic("sim: WriteMutator directors require Config.NoRecycle (replayed/retained values outlive the recycler's reuse horizon)")
-		}
-		return r.runDirectedRW(d, mut, maxSteps, checkEvery, stop)
+	if mut != nil && r.mem.recycleOK {
+		panic("sim: WriteMutator directors require Config.NoRecycle (replayed/retained values outlive the recycler's reuse horizon)")
 	}
 	executed := 0
 	for executed < maxSteps {
 		// Steps until the next stop check (or the end of the run): the whole
-		// chunk executes with no predicate branching, mirroring RunBatch.
+		// chunk executes with no predicate branching, mirroring Run.
 		chunk := maxSteps - executed
 		if stop != nil && chunk > checkEvery {
 			chunk = checkEvery
 		}
 		for end := executed + chunk; executed < end; executed++ {
-			r.stepDirected(d)
+			r.stepDirected(d, mut)
 		}
 		if stop != nil && executed%checkEvery == 0 && stop() {
 			return RunResult{Steps: executed, Stopped: true}
@@ -115,11 +108,15 @@ func (r *Runner) RunDirected(d Director, maxSteps, checkEvery int, stop func() b
 }
 
 // stepDirected executes one director-chosen step by inlined machine
-// dispatch: Step minus the StepInfo, plus the write callback. Like
-// stepBlock, the machine-advance bookkeeping is spelled out in the body —
-// the advanceMachine call (and the Op struct copy through it) is measurable
-// at the adversarial campaigns' throughput.
-func (r *Runner) stepDirected(d Director) {
+// dispatch: Step minus the StepInfo, plus the write callback. A non-nil mut
+// sees (slot, writer, current content, intended value) before a write lands
+// and decides what lands; everything else is the same for honest and
+// mutating directors, so an inert mutator (one that always returns value)
+// replays the honest path bit for bit. Like stepBlock, the machine-advance
+// bookkeeping is spelled out in the body — the advanceMachine call (and the
+// Op struct copy through it) is measurable at the adversarial campaigns'
+// throughput.
+func (r *Runner) stepDirected(d Director, mut WriteMutator) {
 	p := d.Next()
 	pr := r.procAt(p)
 	r.steps++
@@ -144,107 +141,9 @@ func (r *Runner) stepDirected(d Director) {
 	switch pr.nextKind {
 	case OpWrite:
 		wrote = pr.nextValue
-		mem.values[id] = wrote
-		mem.writeSeqs[id]++
-		mem.lastWriter[id] = p
-	case OpRead:
-		prev = mem.values[id]
-	case OpSend:
-		r.net.Send(r.steps-1, p, pr.nextDest, pr.nextValue)
-	default: // OpRecv — setNextNet admits nothing else
-		if m := r.net.Recv(r.steps-1, p); m != nil {
-			prev = m
+		if mut != nil {
+			wrote = mut.MutateWrite(id, p, mem.values[id], wrote)
 		}
-	}
-	if pm := pr.ptrMachine; pm != nil {
-		op := pm.NextOp(prev)
-		if op == nil {
-			pr.isHalted = true
-		} else if op.Kind != OpRead && op.Kind != OpWrite {
-			r.setNextNet(pr, op.Kind, op.Dest, op.Value)
-		} else {
-			rr := op.reg
-			if rr == nil {
-				rr = mustRegister(op.Reg)
-			}
-			pr.nextKind, pr.nextReg = op.Kind, rr
-			pr.nextRegID = rr.id
-			if op.Kind == OpWrite {
-				pr.nextValue = op.Value
-			}
-		}
-	} else if op, ok := pr.machine.Next(prev); !ok {
-		pr.isHalted = true
-	} else if op.Kind != OpRead && op.Kind != OpWrite {
-		r.setNextNet(pr, op.Kind, op.Dest, op.Value)
-	} else {
-		rr := op.reg
-		if rr == nil {
-			rr = mustRegister(op.Reg)
-		}
-		pr.nextKind, pr.nextReg = op.Kind, rr
-		pr.nextRegID = rr.id
-		if op.Kind == OpWrite {
-			pr.nextValue = op.Value
-		}
-	}
-	if isWrite {
-		d.OnWrite(id, p, wrote)
-	}
-}
-
-// runDirectedRW is RunDirected's chunked loop for mutating directors: the
-// same stop/checkEvery hoisting, stepping through stepDirectedRW. It is a
-// separate loop (rather than a branch inside stepDirected) so the honest
-// directed path keeps its instruction stream — and its 0 allocs/op
-// steady state — bit-identical to before the fault plane existed.
-func (r *Runner) runDirectedRW(d Director, mut WriteMutator, maxSteps, checkEvery int, stop func() bool) RunResult {
-	executed := 0
-	for executed < maxSteps {
-		chunk := maxSteps - executed
-		if stop != nil && chunk > checkEvery {
-			chunk = checkEvery
-		}
-		for end := executed + chunk; executed < end; executed++ {
-			r.stepDirectedRW(d, mut)
-		}
-		if stop != nil && executed%checkEvery == 0 && stop() {
-			return RunResult{Steps: executed, Stopped: true}
-		}
-	}
-	return RunResult{Steps: maxSteps, Stopped: false}
-}
-
-// stepDirectedRW is stepDirected with the pre-write interception: the
-// mutator sees (slot, writer, current content, intended value) and decides
-// what lands; everything else — machine advance, bookkeeping, the post-write
-// OnWrite callback — is identical, so an inert mutator (one that always
-// returns value) replays the honest path bit for bit.
-func (r *Runner) stepDirectedRW(d Director, mut WriteMutator) {
-	p := d.Next()
-	pr := r.procAt(p)
-	r.steps++
-	if pr.isHalted {
-		r.recordStep(r.steps-1, p, OpNoop, -1)
-		return
-	}
-	if !pr.started {
-		pr.started = true
-		r.advanceMachine(pr, nil)
-		if pr.isHalted {
-			r.recordStep(r.steps-1, p, OpNoop, -1)
-			return
-		}
-	}
-	id := pr.nextRegID
-	pr.stepCount++
-	r.recordStep(r.steps-1, p, pr.nextKind, id)
-	var prev, wrote any
-	mem := r.mem
-	isWrite := pr.nextKind == OpWrite
-	switch pr.nextKind {
-	case OpWrite:
-		wrote = mut.MutateWrite(id, p, mem.values[id], pr.nextValue)
 		mem.values[id] = wrote
 		mem.writeSeqs[id]++
 		mem.lastWriter[id] = p

@@ -120,7 +120,8 @@ func TestMutatorSeesOldValue(t *testing.T) {
 	}
 }
 
-// hookDirector adapts closures to DirectorRW for single-process tests.
+// hookDirector adapts closures to a mutating Director for single-process
+// tests.
 type hookDirector struct {
 	mutate  func(old, value any) any
 	onWrite func(v any)

@@ -202,9 +202,6 @@ func (r *Runner) advanceMachine(pr *proc, prev any) {
 			r.setNextNet(pr, op.Kind, op.Dest, op.Value)
 			return
 		}
-		if op.Reg == nil {
-			panic("sim: Machine returned an Op with nil Reg")
-		}
 		rr := op.reg
 		if rr == nil {
 			rr = mustRegister(op.Reg)
@@ -225,9 +222,6 @@ func (r *Runner) advanceMachine(pr *proc, prev any) {
 	if op.Kind != OpRead && op.Kind != OpWrite {
 		r.setNextNet(pr, op.Kind, op.Dest, op.Value)
 		return
-	}
-	if op.Reg == nil {
-		panic("sim: Machine returned an Op with nil Reg")
 	}
 	rr := op.reg
 	if rr == nil {

@@ -305,3 +305,79 @@ func TestRegisterPlaneCoroutineZero(t *testing.T) {
 		t.Errorf("coroutine RegLastWriter = %v, want 0", got)
 	}
 }
+
+// nilRegMachine requests one write through WriteOp's pre-resolved register
+// and then a literal Op with a nil Reg, so the bad request reaches each
+// loop's own decode of a machine's next op rather than the first-activation
+// path they share.
+type nilRegMachine struct {
+	x  Ref
+	i  int
+	op Op
+}
+
+func (m *nilRegMachine) Next(any) (Op, bool) {
+	m.i++
+	if m.i == 1 {
+		return WriteOp(m.x, 1), true
+	}
+	return Op{Kind: OpWrite, Value: 2}, true
+}
+
+// nilRegPtrMachine is nilRegMachine in PtrMachine form, whose decode is a
+// separate branch in every loop.
+type nilRegPtrMachine struct{ nilRegMachine }
+
+func (m *nilRegPtrMachine) NextOp(prev any) *Op {
+	m.op, _ = m.Next(prev)
+	return &m.op
+}
+
+// TestNilRegPanicsAlike: a machine Op with a nil Reg panics with one message
+// on every stepping loop — Step's advanceMachine and the inlined decodes of
+// the batched and directed loops, honest or mutating.
+func TestNilRegPanicsAlike(t *testing.T) {
+	t.Parallel()
+	const want = "sim: read/write request with nil Reg (a Machine Op or an Env call)"
+	inert := &hookDirector{mutate: func(_, v any) any { return v }, onWrite: func(any) {}}
+	paths := []struct {
+		name      string
+		noRecycle bool
+		run       func(r *Runner)
+	}{
+		{"Step", false, func(r *Runner) { r.Step(1); r.Step(1) }},
+		{"Run", false, func(r *Runner) {
+			src, err := sched.RoundRobin(1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Run(src, 4, 0, nil)
+		}},
+		{"RunSchedule", false, func(r *Runner) { r.RunSchedule(sched.Schedule{1, 1}) }},
+		{"RunDirected", false, func(r *Runner) { r.RunDirected(&recordingDirector{n: 1}, 4, 0, nil) }},
+		{"RunDirected/mutating", true, func(r *Runner) { r.RunDirected(inert, 4, 0, nil) }},
+	}
+	forms := map[string]func(p procset.ID, regs Registry) Machine{
+		"machine": func(_ procset.ID, regs Registry) Machine { return &nilRegMachine{x: regs.Reg("x")} },
+		"ptr": func(_ procset.ID, regs Registry) Machine {
+			return &nilRegPtrMachine{nilRegMachine{x: regs.Reg("x")}}
+		},
+	}
+	for _, path := range paths {
+		for form, factory := range forms {
+			r, err := NewRunner(Config{N: 1, Machine: factory, NoRecycle: path.noRecycle})
+			if err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer r.Close()
+				defer func() {
+					if got := recover(); got != want {
+						t.Errorf("%s/%s: recover = %v, want %q", path.name, form, got, want)
+					}
+				}()
+				path.run(r)
+			}()
+		}
+	}
+}

@@ -426,12 +426,26 @@ func (e *procEnv) Write(r Ref, v any) {
 	e.do(opRequest{kind: OpWrite, reg: mustRegister(r), value: v})
 }
 
+// mustRegister resolves a Ref to the runner's concrete register. The
+// stepping loops call it only for Ops without a pre-resolved register, so
+// the nil-Reg report costs the hot paths nothing and reads the same on
+// every loop. The message is built in badRef, never inlined, so that
+// mustRegister stays within the inliner's budget at its call sites in the
+// stepping loops.
 func mustRegister(r Ref) *register {
 	reg, ok := r.(*register)
 	if !ok {
-		panic(fmt.Sprintf("sim: foreign Ref %T passed to simulator env", r))
+		panic(badRef(r))
 	}
 	return reg
+}
+
+//go:noinline
+func badRef(r Ref) string {
+	if r == nil {
+		return "sim: read/write request with nil Reg (a Machine Op or an Env call)"
+	}
+	return fmt.Sprintf("sim: foreign Ref %T passed to simulator env", r)
 }
 
 func (e *procEnv) do(req opRequest) any {
@@ -474,7 +488,7 @@ type Runner struct {
 	stats  statCounters
 	flight *FlightRecorder
 
-	// batchBuf is RunBatch's schedule prefetch buffer (see batch.go); kept
+	// batchBuf is Run's schedule prefetch buffer (see batch.go); kept
 	// on the runner so the batched loop allocates nothing per call.
 	batchBuf [batchBlock]procset.ID
 }
@@ -792,15 +806,6 @@ type RunResult struct {
 	// Stopped reports whether the stop predicate ended the run (as opposed
 	// to the step budget running out).
 	Stopped bool
-}
-
-// Run drives the runner with steps from src until the stop predicate returns
-// true (checked every checkEvery steps; 0 means every step) or maxSteps have
-// been executed. stop may be nil. Machine-mode runners without an observer
-// execute on the batched fast path (see RunBatch in batch.go); all other
-// configurations take the generic per-step loop. The two are bit-identical.
-func (r *Runner) Run(src sched.Source, maxSteps, checkEvery int, stop func() bool) RunResult {
-	return r.RunBatch(src, maxSteps, checkEvery, stop)
 }
 
 // runGeneric is the per-step run loop: the coroutine path, and the machine

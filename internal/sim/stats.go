@@ -5,7 +5,7 @@
 // goroutine — block-locally inside the batched loops and folded into the
 // runner at block boundaries, or directly on the per-step paths whose cost
 // is dominated by channel handoffs anyway — and *sampled* only between
-// runs or at RunBatch/checkEvery block boundaries, never per step. Nothing
+// runs or at Run/checkEvery block boundaries, never per step. Nothing
 // here allocates, takes a lock, or changes a single scheduling or memory
 // decision: an observer-free machine run with metrics compiled in is
 // bit-identical to one without, and stays 0 allocs/op (pinned by

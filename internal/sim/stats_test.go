@@ -197,7 +197,7 @@ func TestBatchMetricsDisabledAllocs(t *testing.T) {
 		r.Run(src, 1024, 0, nil)
 	})
 	if avg != 0 {
-		t.Errorf("RunBatch with metrics compiled in but disabled allocates %.2f/run, want 0", avg)
+		t.Errorf("Run with metrics compiled in but disabled allocates %.2f/run, want 0", avg)
 	}
 	if s := r.Stats(); s.Steps == 0 || s.Reads == 0 || s.Writes == 0 {
 		t.Errorf("counters did not accumulate: %+v", s)
