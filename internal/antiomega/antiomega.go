@@ -121,8 +121,8 @@ func (st *state) cntRow(ai int) []int {
 	return st.cnt[ai*stride : (ai+1)*stride]
 }
 
-// newState builds the initial local state for one process (Figure 2's
-// initializer). cfg must have been validated.
+// newState allocates the local state for one process and initializes it.
+// cfg must have been validated.
 func newState(cfg Config, self procset.ID) state {
 	subsets := procset.KSubsets(cfg.N, cfg.K)
 	st := state{
@@ -136,15 +136,26 @@ func newState(cfg Config, self procset.ID) state {
 		cnt:           make([]int, len(subsets)*(cfg.N+1)),
 		scratch:       make([]int, cfg.N),
 	}
-	for ai := range subsets {
+	st.reset()
+	return st
+}
+
+// reset sets every variable to its Figure 2 initial value in place: the
+// initializer of a fresh state and the rewind of a pooled one. scratch
+// needs none; aggregate overwrites it before every use.
+func (st *state) reset() {
+	st.myHb, st.iterations = 0, 0
+	clear(st.prevHeartbeat)
+	clear(st.accusation)
+	clear(st.cnt)
+	for ai := range st.subsets {
 		st.timeout[ai] = 1
 		st.timer[ai] = 1
 	}
 	// Initial fdOutput: any set of n−k processes (Figure 2's initializer);
 	// we use the complement of the first subset in the canonical order.
-	st.winnerset = subsets[0]
-	st.fdOutput = subsets[0].Complement(cfg.N)
-	return st
+	st.winnerset = st.subsets[0]
+	st.fdOutput = st.subsets[0].Complement(st.cfg.N)
 }
 
 // chooseWinner runs the local part of lines 2–5 on freshly collected
@@ -387,9 +398,8 @@ func (d *Detector) Machine(p procset.ID, regs sim.Registry) sim.Machine {
 	if err != nil {
 		panic(err) // configuration was validated in NewDetector
 	}
-	prev := procset.EmptySet
 	m.onIterate = func(m *MachineInstance) {
-		d.publish(p, &m.state, &prev)
+		d.publish(p, &m.state, &m.published)
 	}
 	return m
 }

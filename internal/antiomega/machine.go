@@ -56,8 +56,10 @@ type MachineInstance struct {
 	// onIterate, if non-nil, runs after each completed iteration — inside
 	// the Next call that consumes the iteration's final operation, i.e. at
 	// the exact point the coroutine Detector publishes. The Detector wires
-	// its publication here.
+	// its publication here, tracking the last output it published in
+	// published so that only changes fire its callback.
 	onIterate func(*MachineInstance)
+	published procset.Set
 
 	// opBuf is the stable storage behind NextOp's non-table operations.
 	opBuf sim.Op
@@ -88,6 +90,16 @@ func NewMachineInstance(cfg Config, self procset.ID, regs sim.Registry) (*Machin
 		m.hbReadOps[q-1] = sim.ReadOp(m.hbRefs[q])
 	}
 	return m, nil
+}
+
+// Rewind implements sim.Rewinder: the machine returns to its constructed
+// state in place, keeping its interned registers and op tables.
+func (m *MachineInstance) Rewind() {
+	m.state.reset()
+	m.primed, m.phase = false, phaseCounters
+	m.ai, m.q, m.k = 0, 0, 0
+	m.published = procset.EmptySet
+	m.opBuf = sim.Op{}
 }
 
 // Next implements sim.Machine; the runner prefers the pointer form below.

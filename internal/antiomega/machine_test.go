@@ -113,48 +113,83 @@ func TestMachineMatchesInstance(t *testing.T) {
 }
 
 // TestMachineDetectorResetDeterminism pins the pooled path: a machine
-// detector reused via Detector.Reset + Runner.Reset replays a fresh run.
+// detector reused via Detector.Reset + Runner.Reset — which rewinds each
+// MachineInstance in place — replays a fresh run, whatever the previous run
+// left behind: a full run, a mid-run stop with an iteration in flight, or
+// a run in which processes crashed. Output-change events must fire again
+// after every rewind exactly as on a fresh detector.
 func TestMachineDetectorResetDeterminism(t *testing.T) {
 	t.Parallel()
-	cfg := Config{N: 4, K: 2, T: 2}
-	src, err := sched.Random(cfg.N, 9, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sched.Take(src, 3000)
-	fresh := snapshotDetector(t, cfg, s, true)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"n4k2t2", Config{N: 4, K: 2, T: 2}},
+		{"n5k2t3", Config{N: 5, K: 2, T: 3}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := tc.cfg
+			schedule := func(seed int64, crashes map[procset.ID]int) sched.Schedule {
+				src, err := sched.Random(cfg.N, seed, crashes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sched.Take(src, 3000)
+			}
+			s := schedule(9, nil)
+			crashed := schedule(10, map[procset.ID]int{1: 500, procset.ID(cfg.N): 40})
 
-	var trace []sim.StepInfo
-	var events []outputEvent
-	det, err := NewDetector(cfg, func(p procset.ID, out procset.Set) {
-		events = append(events, outputEvent{proc: p, out: out})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := sim.NewRunner(sim.Config{
-		N:        cfg.N,
-		Machine:  det.Machine,
-		Observer: func(info sim.StepInfo) { trace = append(trace, info) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for round := 0; round < 2; round++ {
-		trace, events = trace[:0], events[:0]
-		det.Reset()
-		if err := r.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		r.RunSchedule(s)
-		reused := detectorSnapshot{trace: trace, events: events}
-		for p := procset.ID(1); int(p) <= cfg.N; p++ {
-			reused.outputs = append(reused.outputs, det.Output(p))
-			reused.winners = append(reused.winners, det.Winnerset(p))
-			reused.iters = append(reused.iters, det.Iterations(p))
-		}
-		sameSnapshot(t, "fresh vs pooled", fresh, reused)
+			var trace []sim.StepInfo
+			var events []outputEvent
+			det, err := NewDetector(cfg, func(p procset.ID, out procset.Set) {
+				events = append(events, outputEvent{proc: p, out: out})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := sim.NewRunner(sim.Config{
+				N:        cfg.N,
+				Machine:  det.Machine,
+				Observer: func(info sim.StepInfo) { trace = append(trace, info) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for _, run := range []struct {
+				label string
+				s     sched.Schedule
+			}{
+				{"first run", s},
+				{"after a full run", s},
+				{"stop at step 137", s[:137]},
+				{"after a stop at step 137", s},
+				{"stop at step 1001", s[:1001]},
+				{"after a stop at step 1001", s},
+				{"crash run", crashed},
+				{"after a crash run", s},
+			} {
+				trace, events = trace[:0], events[:0]
+				det.Reset()
+				if err := r.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				r.RunSchedule(run.s)
+				reused := detectorSnapshot{trace: trace, events: events}
+				for p := procset.ID(1); int(p) <= cfg.N; p++ {
+					reused.outputs = append(reused.outputs, det.Output(p))
+					reused.winners = append(reused.winners, det.Winnerset(p))
+					reused.iters = append(reused.iters, det.Iterations(p))
+				}
+				fresh := snapshotDetector(t, cfg, run.s, true)
+				if len(run.s) == len(s) && len(fresh.events) == 0 {
+					t.Fatalf("%s: no output-change events in the fresh run", run.label)
+				}
+				sameSnapshot(t, run.label+": fresh vs pooled", fresh, reused)
+			}
+		})
 	}
 }
 

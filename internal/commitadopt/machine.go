@@ -294,6 +294,12 @@ func NewInstanceMachine(regs sim.Registry, name string, self procset.ID, n int) 
 	}
 }
 
+// Rewind returns the handle to its constructed state, keeping its registry,
+// name and interned decision register.
+func (m *InstanceMachine) Rewind() {
+	*m = InstanceMachine{regs: m.regs, name: m.name, self: m.self, n: m.n, dec: m.dec}
+}
+
 // Round returns the number of rounds this process has completed.
 func (m *InstanceMachine) Round() int { return m.round }
 

@@ -83,6 +83,12 @@ func NewInstanceMachine(regs sim.Registry, name string, self procset.ID, n int) 
 	return m
 }
 
+// Rewind returns the handle to its constructed state, keeping its interned
+// registers.
+func (m *InstanceMachine) Rewind() {
+	*m = InstanceMachine{n: m.n, self: m.self, blocks: m.blocks, dec: m.dec}
+}
+
 // Attempts returns how many ballots this process has started.
 func (m *InstanceMachine) Attempts() int { return m.attempts }
 

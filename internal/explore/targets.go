@@ -100,7 +100,9 @@ func (t Target) build(n int) (*harness, error) {
 }
 
 // Machine returns the target's pooled builder on the production path: one
-// direct-dispatch runner per worker, machines rebuilt by Runner.Reset.
+// direct-dispatch runner per worker, restarted by Runner.Reset (machines
+// that implement sim.Rewinder are rewound in place, the rest rebuilt by
+// their factories).
 func (t Target) Machine(n int) PooledBuilder {
 	return func() (*Run, error) {
 		h, err := t.build(n)

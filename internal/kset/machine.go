@@ -31,11 +31,14 @@ type instanceMachine interface {
 	StartAttempt(v any) (op sim.Op, hasOp bool)
 	Feed(prev any) (op sim.Op, hasOp bool)
 	Result() (any, bool)
+	Rewind()
 }
 
 // Machine returns the per-process direct-dispatch automata, the machine-mode
 // analogue of Algorithm: the returned factory suits sim.Config.Machine.
-// Proposal values must be non-nil and treated as immutable.
+// Proposal values must be non-nil and treated as immutable. proposal is
+// read once per process, when the runner is built: the automata are
+// sim.Rewinders, so a pooled runner keeps those proposals across Reset.
 func (a *Agreement) Machine(proposal func(procset.ID) any) func(procset.ID, sim.Registry) sim.Machine {
 	return func(p procset.ID, regs sim.Registry) sim.Machine {
 		v := proposal(p)
@@ -70,6 +73,9 @@ func newTrivialMachine(a *Agreement, p procset.ID, v any, regs sim.Registry) *tr
 	}
 	return m
 }
+
+// Rewind implements sim.Rewinder.
+func (m *trivialMachine) Rewind() { m.wrote, m.l = false, 0 }
 
 func (m *trivialMachine) Next(prev any) (sim.Op, bool) {
 	if int(m.self) <= m.leaders {
@@ -135,6 +141,18 @@ func newDetectorMachine(a *Agreement, p procset.ID, v any, regs sim.Registry) *d
 		}
 	}
 	return &detectorMachine{ag: a, self: p, v: v, dk: dk, fd: fd, cons: cons}
+}
+
+// Rewind implements sim.Rewinder: the detector and every consensus handle
+// rewind in place, keeping their interned registers.
+func (m *detectorMachine) Rewind() {
+	m.fd.Rewind()
+	for _, c := range m.cons {
+		c.Rewind()
+	}
+	m.primed, m.phase = false, dmFD
+	m.r, m.w = 0, procset.EmptySet
+	m.opBuf = sim.Op{}
 }
 
 // Next implements sim.Machine: feed the result of the operation in flight to

@@ -2,6 +2,7 @@ package kset
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
@@ -48,13 +49,18 @@ func snapshotAgreement(t *testing.T, cfg Config, s sched.Schedule, machineMode b
 	}
 	defer r.Close()
 	r.RunSchedule(s)
-	for p := 1; p <= cfg.N; p++ {
+	snap.harvest(ag)
+	return snap
+}
+
+// harvest records the final harness state of a completed run.
+func (snap *agreementSnapshot) harvest(ag *Agreement) {
+	for p := 1; p <= ag.cfg.N; p++ {
 		v, _ := ag.Decision(procset.ID(p))
 		snap.decisions = append(snap.decisions, v)
 	}
 	snap.distinct = ag.DistinctDecisions()
 	snap.decided = ag.DecidedSet()
-	return snap
 }
 
 func sameAgreementSnapshot(t *testing.T, label string, a, b agreementSnapshot) {
@@ -102,13 +108,13 @@ var agreementCases = []struct {
 // caseSchedule builds a decision-friendly schedule for the configuration:
 // conformant for the detector path (so leader attempts succeed and the
 // decide/halt path is exercised), random for the trivial algorithm.
-func caseSchedule(t *testing.T, cfg Config, steps int) sched.Schedule {
+// crashes maps each crashing process to its crash step.
+func caseSchedule(t *testing.T, cfg Config, steps int, crashes map[procset.ID]int) sched.Schedule {
 	t.Helper()
 	var (
 		src sched.Source
 		err error
 	)
-	crashes := map[procset.ID]int{procset.ID(cfg.N): 40}
 	if cfg.UsesTrivialAlgorithm() {
 		src, err = sched.Random(cfg.N, 77, crashes)
 	} else {
@@ -134,7 +140,7 @@ func TestMachineMatchesAlgorithm(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			s := caseSchedule(t, tc.cfg, 60_000)
+			s := caseSchedule(t, tc.cfg, 60_000, map[procset.ID]int{procset.ID(tc.cfg.N): 40})
 			coro := snapshotAgreement(t, tc.cfg, s, false)
 			mach := snapshotAgreement(t, tc.cfg, s, true)
 			sameAgreementSnapshot(t, tc.name, coro, mach)
@@ -146,8 +152,12 @@ func TestMachineMatchesAlgorithm(t *testing.T) {
 }
 
 // TestMachineAgreementResetDeterminism pins the pooled path: a machine
-// agreement reused via Agreement.Reset + Runner.Reset replays a fresh run
-// bit for bit, twice.
+// agreement reused via Agreement.Reset + Runner.Reset — which rewinds every
+// automaton in place — replays a fresh run bit for bit, whatever the
+// previous run left behind: a run to decision, a mid-run stop with a
+// detector iteration or a ballot in flight, or a run in which processes
+// crashed. It covers both algorithms, both engines and the DetectorK
+// override.
 func TestMachineAgreementResetDeterminism(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -155,13 +165,16 @@ func TestMachineAgreementResetDeterminism(t *testing.T) {
 		cfg  Config
 	}{
 		{"paxos-n4k2t2", Config{N: 4, K: 2, T: 2}},
+		{"paxos-n5k2t3", Config{N: 5, K: 2, T: 3}},
+		{"commitadopt-n4k2t2", Config{N: 4, K: 2, T: 2, Engine: EngineCommitAdopt}},
 		{"trivial-n4k3t2", Config{N: 4, K: 3, T: 2}},
+		{"detectorK-n5k2t3", Config{N: 5, K: 2, T: 3, DetectorK: 1}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			s := caseSchedule(t, tc.cfg, 30_000)
-			fresh := snapshotAgreement(t, tc.cfg, s, true)
+			s := caseSchedule(t, tc.cfg, 30_000, nil)
+			crashed := caseSchedule(t, tc.cfg, 30_000, map[procset.ID]int{1: 500, procset.ID(tc.cfg.N): 40})
 
 			var snap agreementSnapshot
 			ag, err := New(tc.cfg, func(p procset.ID, v any) {
@@ -179,20 +192,102 @@ func TestMachineAgreementResetDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			for round := 0; round < 2; round++ {
+			for _, run := range []struct {
+				label string
+				s     sched.Schedule
+			}{
+				{"first run", s},
+				{"after a full run", s},
+				{"stop at step 137", s[:137]},
+				{"after a stop at step 137", s},
+				{"stop at step 1001", s[:1001]},
+				{"after a stop at step 1001", s},
+				{"crash run", crashed},
+				{"after a crash run", s},
+			} {
 				snap = agreementSnapshot{}
 				ag.Reset()
 				if err := r.Reset(); err != nil {
 					t.Fatal(err)
 				}
-				r.RunSchedule(s)
-				for p := 1; p <= tc.cfg.N; p++ {
-					v, _ := ag.Decision(procset.ID(p))
-					snap.decisions = append(snap.decisions, v)
+				r.RunSchedule(run.s)
+				snap.harvest(ag)
+				fresh := snapshotAgreement(t, tc.cfg, run.s, true)
+				if len(run.s) == len(s) && fresh.decided.IsEmpty() {
+					t.Fatalf("%s: no process decided in the fresh run", run.label)
 				}
-				snap.distinct = ag.DistinctDecisions()
-				snap.decided = ag.DecidedSet()
-				sameAgreementSnapshot(t, fmt.Sprintf("fresh vs reuse round %d", round), fresh, snap)
+				sameAgreementSnapshot(t, run.label+": fresh vs pooled", fresh, snap)
+			}
+		})
+	}
+}
+
+// pooledRig builds an observer-free pooled agreement runner, the shape of
+// the campaign and benchmark rigs.
+func pooledRig(tb testing.TB, cfg Config) (*Agreement, *sim.Runner) {
+	tb.Helper()
+	ag, err := New(cfg, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := sim.NewRunner(sim.Config{N: cfg.N, Machine: ag.Machine(proposals)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(r.Close)
+	return ag, r
+}
+
+// TestResetRewindAllocs pins the cost of reuse on the pooled path: with
+// every automaton rewound in place, Agreement.Reset + Runner.Reset
+// allocates nothing — after a run to decision as well as in a tight loop.
+func TestResetRewindAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"paxos-n5k2t3", Config{N: 5, K: 2, T: 3}},
+		{"commitadopt-n4k2t2", Config{N: 4, K: 2, T: 2, Engine: EngineCommitAdopt}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ag, r := pooledRig(t, tc.cfg)
+			reset := func() {
+				ag.Reset()
+				if err := r.Reset(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.RunSchedule(caseSchedule(t, tc.cfg, 30_000, nil))
+			if ag.DecidedSet().IsEmpty() {
+				t.Fatal("no process decided before the reset")
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			reset()
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Errorf("reset after a run to decision: %d allocs, want 0", n)
+			}
+			if avg := testing.AllocsPerRun(100, reset); avg != 0 {
+				t.Errorf("reset: %.1f allocs/op, want 0", avg)
+			}
+		})
+	}
+}
+
+// BenchmarkRunnerReset measures the per-run reset of a pooled solver,
+// Agreement.Reset + Runner.Reset, on the (t,k,n) cells of the agreement
+// benchmark workload.
+func BenchmarkRunnerReset(b *testing.B) {
+	for _, c := range []struct{ t, k, n int }{{1, 1, 3}, {2, 2, 4}, {3, 2, 5}} {
+		b.Run(fmt.Sprintf("t%dk%dn%d", c.t, c.k, c.n), func(b *testing.B) {
+			ag, r := pooledRig(b, Config{N: c.n, K: c.k, T: c.t})
+			b.ReportAllocs()
+			for b.Loop() {
+				ag.Reset()
+				if err := r.Reset(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -102,6 +102,20 @@ type PtrMachine interface {
 	NextOp(prev any) *Op
 }
 
+// Rewinder is an optional extension of Machine for automata that can return
+// to their constructed state in place. Runner.Reset rewinds such a machine
+// instead of calling the factory again, so a pooled run pays no
+// construction (register interning, table building) per job. After Rewind
+// the machine must drive exactly the automaton a fresh factory call would
+// have built, and it must hold nothing a Recycler vended: Reset reclaims
+// those in bulk. The factory therefore runs once per process, at NewRunner;
+// whatever it reads (proposals, harness hooks) is fixed for the runner's
+// lifetime.
+type Rewinder interface {
+	Machine
+	Rewind()
+}
+
 // MachineFunc adapts a plain function to the Machine interface.
 type MachineFunc func(prev any) (Op, bool)
 
@@ -144,8 +158,8 @@ func (r *Runner) stepMachine(pr *proc, info *StepInfo) {
 		return
 	}
 	if !pr.started {
-		// First activation: the machine's initialization already ran in
-		// NewRunner (the factory); fetch its first request.
+		// First activation: the machine's initialization already ran (the
+		// factory, or Rewind on Reset); fetch its first request.
 		pr.started = true
 		r.advanceMachine(pr, nil)
 		if pr.isHalted {

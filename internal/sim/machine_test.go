@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
@@ -211,6 +212,115 @@ func TestResetRevivesHaltedProcesses(t *testing.T) {
 			t.Fatalf("round %d: processes not halted after their writes", round)
 		}
 	}
+}
+
+// rewindingMachine writes 1, 2, 3 to its own register and halts; Rewind
+// starts it over and counts the call.
+type rewindingMachine struct {
+	reg     Ref
+	i       int
+	rewinds *int
+}
+
+func (m *rewindingMachine) Next(any) (Op, bool) {
+	if m.i == 3 {
+		return Op{}, false
+	}
+	m.i++
+	return WriteOp(m.reg, m.i), true
+}
+
+func (m *rewindingMachine) Rewind() {
+	m.i = 0
+	*m.rewinds++
+}
+
+// TestResetRewindContract pins how Reset restarts each kind of process: a
+// Rewinder is rewound in place, its factory having run once per process at
+// NewRunner, on observed and NoRecycle runners alike; any other machine is
+// rebuilt by its factory on every Reset, and so is a coroutine process.
+func TestResetRewindContract(t *testing.T) {
+	t.Parallel()
+	const n, resets = 3, 3
+	s := sched.Schedule{1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{N: n}},
+		{"observed", Config{N: n, Observer: func(StepInfo) {}}},
+		{"norecycle", Config{N: n, NoRecycle: true}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var builds, rewinds, funcBuilds int
+			rewinding := tc.cfg
+			rewinding.Machine = func(p procset.ID, regs Registry) Machine {
+				builds++
+				return &rewindingMachine{reg: regs.Reg(fmt.Sprintf("r%d", p)), rewinds: &rewinds}
+			}
+			plain := tc.cfg
+			plain.Machine = func(p procset.ID, regs Registry) Machine {
+				funcBuilds++
+				return haltingMachine(p, regs)
+			}
+			rr, err := NewRunner(rewinding)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rr.Close()
+			rp, err := NewRunner(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rp.Close()
+			for round := 0; round <= resets; round++ {
+				if round > 0 {
+					if err := rr.Reset(); err != nil {
+						t.Fatal(err)
+					}
+					if err := rp.Reset(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rr.RunSchedule(s)
+				rp.RunSchedule(s)
+				for p := procset.ID(1); int(p) <= n; p++ {
+					if got := rr.mem.read(rr.mem.reg(fmt.Sprintf("r%d", p))); got != 3 || !rr.Halted(p) {
+						t.Fatalf("round %d: %v wrote %v (halted %v), want 3 and halted", round, p, got, rr.Halted(p))
+					}
+				}
+			}
+			if builds != n || rewinds != n*resets {
+				t.Errorf("Rewinder: %d factory calls, %d rewinds; want %d and %d", builds, rewinds, n, n*resets)
+			}
+			if funcBuilds != n*(resets+1) {
+				t.Errorf("MachineFunc: %d factory calls, want %d", funcBuilds, n*(resets+1))
+			}
+		})
+	}
+	t.Run("coroutine", func(t *testing.T) {
+		t.Parallel()
+		builds := 0
+		r, err := NewRunner(Config{N: n, Algorithm: func(procset.ID) Algorithm {
+			builds++
+			return counterAlgo
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for round := 0; round < resets; round++ {
+			r.RunSchedule(s)
+			if err := r.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if builds != n*(resets+1) {
+			t.Errorf("Algorithm: %d factory calls, want %d", builds, n*(resets+1))
+		}
+	})
 }
 
 // TestResetClearsRegisterValues pins the interning semantics: the register

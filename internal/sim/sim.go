@@ -175,8 +175,8 @@ func (r *register) Name() string { return r.name }
 
 // Recycler is runner-scoped state that vends reusable objects to machines
 // (arenas, lease pools). ResetRecycler is invoked by Runner.Reset after
-// register values are cleared and before the machine factories run again: at
-// that point no machine holds any vended object, so the recycler may reclaim
+// register values are cleared and before the machines are rewound or rebuilt:
+// at that point no machine holds any vended object, so the recycler may reclaim
 // everything it ever handed out in bulk — including objects that were held
 // by crashed processes or by scans a mid-run stop left in flight.
 type Recycler interface {
@@ -503,9 +503,10 @@ type Config struct {
 	// once per process id at construction (and again on Reset).
 	Algorithm func(p procset.ID) Algorithm
 	// Machine returns the direct-dispatch automaton for each process. The
-	// factory is called once per process id at construction (and again on
-	// Reset), sequentially on the constructing goroutine; regs interns the
-	// machine's registers.
+	// factory is called once per process id at construction, sequentially
+	// on the constructing goroutine; regs interns the machine's registers.
+	// Reset rewinds a machine that implements Rewinder and calls the
+	// factory again for any other.
 	Machine func(p procset.ID, regs Registry) Machine
 	// Network, if non-nil, attaches a message substrate: machines may then
 	// request OpSend/OpRecv steps (see net.go and SendOp/RecvOp). Machine
@@ -742,9 +743,10 @@ func (r *Runner) observe(info *StepInfo) {
 // another run without paying construction costs again: step counters
 // revert to zero, every register value reverts to nil (the interned
 // register set survives — an unwritten register reads as nil either way),
-// and every process restarts from its factory. In machine mode this is a
-// handful of stores plus the factory calls; in coroutine mode the old
-// process goroutines are killed and fresh ones spawned.
+// and every process restarts. In machine mode a Rewinder machine is rewound
+// in place and any other machine is rebuilt by a fresh factory call; in
+// coroutine mode the old process goroutines are killed and fresh ones
+// spawned.
 //
 // A reset runner produces bit-identical StepInfo streams to a freshly
 // constructed one with the same Config — the property the campaign engine's
@@ -763,10 +765,10 @@ func (r *Runner) Reset() error {
 	}
 	r.mem.resetValues()
 	// With every register value dropped and every machine about to be
-	// rebuilt, no vended arena object is reachable: recyclers may take back
-	// everything in bulk, so a pooled runner's next job starts with warm
-	// freelists instead of a cold heap — including after mid-run stops that
-	// left scans in flight or crashed processes holding leases.
+	// rewound or rebuilt, no vended arena object is reachable: recyclers may
+	// take back everything in bulk, so a pooled runner's next job starts
+	// with warm freelists instead of a cold heap — including after mid-run
+	// stops that left scans in flight or crashed processes holding leases.
 	r.mem.resetRecyclers()
 	// The message substrate rewinds with the run: queues emptied, timing and
 	// sequence state back to step 0, pooled envelope storage retained — the
@@ -784,14 +786,18 @@ func (r *Runner) Reset() error {
 		p.stepCount = 0
 		p.fault = FaultHonest
 		p.pending = nil
-		p.machine = nil
-		p.ptrMachine = nil
 		p.nextKind = 0
 		p.nextReg = nil
 		p.nextRegID = 0
 		p.nextValue = nil
 		p.nextDest = 0
 		p.started = false
+		if rw, ok := p.machine.(Rewinder); ok {
+			rw.Rewind()
+			continue
+		}
+		p.machine = nil
+		p.ptrMachine = nil
 		if err := r.start(p); err != nil {
 			return err
 		}
