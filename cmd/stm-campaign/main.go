@@ -9,12 +9,14 @@
 //	stm-campaign converge -n 4 -k 2 -t 2 -trials 64
 //	stm-campaign relations -n 4 -schedules 200
 //
-// Global-ish flags on every subcommand: -workers (0 = GOMAXPROCS), -seed,
-// -json (machine-readable summary on stdout), -jsonl FILE (stream one JSON
-// record per job). Resilience flags (-checkpoint, -resume, -procs, -chaos,
-// -lease, -retries) route the run through the fault-tolerant coordinator:
-// checkpointed, lease-based dispatch that survives worker crashes and hangs
-// and resumes after coordinator death with a bit-identical aggregate.
+// Each subcommand is an entry of the subcommands table, which also prints
+// the usage. Every entry takes -seed, -json (summary on stdout) and -pprof.
+// The campaign-engine entries (all but monitor) also take the engine group:
+// -workers, -jsonl FILE (one JSON record per job), -progress, and the
+// resilience flags (-checkpoint, -resume, -procs, -chaos, -lease, -retries),
+// which route the run through the fault-tolerant coordinator with a
+// bit-identical aggregate; exhaustive honours them only with -reduce=false.
+// adversarial and byzantine also take -flight.
 //
 // Exit codes: 0 clean; 1 error or property violation; 2 usage; 3 completed
 // degraded (quarantined jobs — reported, never silent); 4 interrupted with a
@@ -57,6 +59,46 @@ const (
 	exitInterrupted = 4
 )
 
+// subcommand is one entry of the command table.
+type subcommand struct {
+	name, usage string
+	// engine: the entry runs campaign.Run and takes -workers, -jsonl,
+	// -progress and the resilience flags. flight: it takes -flight.
+	engine, flight bool
+	// setup registers the entry's own flags; the function it returns is
+	// called after parsing, validates them, and says what to run.
+	setup func(fs *flag.FlagSet, c *common) func() (*job, error)
+}
+
+// job is one parsed invocation: its params (checkpoint identity and the
+// -json record's params) and either run, for a campaign entry, or own, for
+// monitor and the reduced exhaustive sweep, which write their own output.
+type job struct {
+	params map[string]any
+	// run executes the campaign. A failure that still produced a report
+	// comes back as a *failure, so the summary is written before it.
+	run func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, error)
+	// render writes the human output ahead of the summary lines; cells, when
+	// set, joins the -json record as "cells"; failNoun, when set, fails a
+	// completed campaign with failed jobs as "<count> <failNoun>".
+	render   func(w io.Writer, rep *campaign.Report)
+	cells    func() any
+	failNoun string
+	own      func(ctx context.Context, w io.Writer) error
+}
+
+var subcommands = []subcommand{
+	{name: "matrix", usage: "-t T -k K -n N [-posbudget B] [-negbudget B]   empirical Theorem 27 matrices", engine: true, setup: matrixCmd},
+	{name: "fuzz", usage: "-target NAME -schedules S                      schedule fuzzing", engine: true, setup: fuzzCmd},
+	{name: "exhaustive", usage: "-target NAME -n N -depth D [-reduce=false]     every schedule up to depth D (partial-order reduced by default)", engine: true, setup: exhaustiveCmd},
+	{name: "converge", usage: "-n N -k K -t T -trials R                       detector-convergence sweep", engine: true, setup: convergeCmd},
+	{name: "relations", usage: "-n N -schedules S [-gen random|starver|mixed]  timeliness-relation extraction", engine: true, setup: relationsCmd},
+	{name: "adversarial", usage: "-n N -runs R [-steps S]                        parking adversary vs the Theorem 24 solver", engine: true, flight: true, setup: adversarialCmd},
+	{name: "byzantine", usage: "-target NAME -n N [-crash LO:HI] [-byz LO:HI] [-strategies flip,stale,split] [-runs R] [-steps S]  Byzantine degradation matrix", engine: true, flight: true, setup: byzantineCmd},
+	{name: "netconv", usage: "-n N [-matrices sync,psync,async,mixed] [-runs R] [-steps S] [-delta D] [-gst G] [-probe P]  detector convergence over graded link matrices", engine: true, setup: netconvCmd},
+	{name: "monitor", usage: "-n N -steps S [-every E] [-gen random|starver|mixed]  online timeliness-graph monitoring", setup: monitorCmd},
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -88,8 +130,15 @@ func main() {
 	}
 	var ie *campaign.InterruptedError
 	var de *degradedError
+	var ue *usageError
 	switch {
 	case err == nil:
+	case errors.As(err, &ue):
+		// The flag package has already explained the command line on stderr.
+		if errors.Is(ue.err, flag.ErrHelp) {
+			os.Exit(exitOK)
+		}
+		os.Exit(exitUsage)
 	case errors.As(err, &ie):
 		fmt.Fprintf(os.Stderr, "stm-campaign: %v\n", err)
 		fmt.Fprintf(os.Stderr, "stm-campaign: resume with: %s\n", resumeCommand())
@@ -103,27 +152,12 @@ func main() {
 	}
 }
 
-// dispatch routes a subcommand; known reports whether the name was one.
+// dispatch runs the named table entry; known reports whether there was one.
 func dispatch(ctx context.Context, sub string, args []string, w io.Writer) (err error, known bool) {
-	switch sub {
-	case "matrix":
-		return cmdMatrix(ctx, args, w), true
-	case "fuzz":
-		return cmdFuzz(ctx, args, w), true
-	case "exhaustive":
-		return cmdExhaustive(ctx, args, w), true
-	case "converge":
-		return cmdConverge(ctx, args, w), true
-	case "relations":
-		return cmdRelations(ctx, args, w), true
-	case "adversarial":
-		return cmdAdversarial(ctx, args, w), true
-	case "byzantine":
-		return cmdByzantine(ctx, args, w), true
-	case "netconv":
-		return cmdNetConv(ctx, args, w), true
-	case "monitor":
-		return cmdMonitor(ctx, args, w), true
+	for i := range subcommands {
+		if subcommands[i].name == sub {
+			return subcommands[i].run(ctx, args, w), true
+		}
 	}
 	return nil, false
 }
@@ -132,13 +166,12 @@ func dispatch(ctx context.Context, sub string, args []string, w io.Writer) (err 
 // coordinator holds by running the identical subcommand code path, with
 // campaign.Run rerouted into serve mode. Human output is discarded;
 // parent-only side effects (sink files, checkpoints, debug servers) are
-// disabled by the ServingWorker gates in the shared helpers.
+// disabled by the driver's ServingWorker gate.
 func runWorker() {
 	ctx := campaign.WithWorkerServe(context.Background(), os.Stdin, os.Stdout)
 	err, known := dispatch(ctx, os.Args[1], os.Args[2:], io.Discard)
 	if !known {
-		fmt.Fprintf(os.Stderr, "stm-campaign worker: unknown subcommand %q\n", os.Args[1])
-		os.Exit(exitError)
+		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stm-campaign worker: %v\n", err)
@@ -146,6 +179,85 @@ func runWorker() {
 	}
 	os.Exit(exitOK)
 }
+
+// run is the one driver behind every entry: it parses the flags, applies
+// the common context knobs, and then either hands over to an entry that
+// writes its own output, or runs the campaign into the -jsonl sink (opened
+// only after the entry validated its flags, so a bad invocation never
+// leaves a stream file behind) and writes its summary.
+func (sc *subcommand) run(ctx context.Context, args []string, w io.Writer) error {
+	fs := flag.NewFlagSet(sc.name, flag.ContinueOnError)
+	var c common
+	c.register(fs, sc.engine, sc.flight)
+	parsed := sc.setup(fs, &c)
+	if err := fs.Parse(args); err != nil {
+		return &usageError{err}
+	}
+	j, err := parsed()
+	if err != nil {
+		return err
+	}
+	// Resilience, instrumentation and the -jsonl file belong to the
+	// coordinating parent; a worker process (serve knob already installed)
+	// only carries the flight-recorder request, and must not clobber the
+	// parent's stream.
+	worker := campaign.ServingWorker(ctx)
+	o := campaign.Options{Flight: c.flight}
+	if !worker {
+		if o.Resilience, err = c.resilienceOptions(sc.name, args, j.params); err != nil {
+			return err
+		}
+		cleanup, err := c.instrument(&o)
+		defer cleanup()
+		if err != nil {
+			return err
+		}
+	}
+	ctx = campaign.WithOptions(ctx, o)
+	if j.own != nil {
+		return j.own(ctx, w)
+	}
+	var sink func(campaign.Outcome)
+	var sinkErr *error
+	var out *os.File
+	if c.jsonlOut != "" && !worker {
+		if out, err = os.Create(c.jsonlOut); err != nil {
+			return err
+		}
+		sink, sinkErr = campaign.JSONLSink(out)
+	}
+	rep, err := j.run(ctx, sink)
+	if out != nil {
+		// Close and stream-encoding errors surface if the campaign succeeded.
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = *sinkErr
+		}
+	}
+	summary := func() error { return j.summarize(w, &c, sc.name, rep) }
+	var f *failure
+	if errors.As(err, &f) {
+		return failed(w, os.Stderr, c.jsonOut, f.line, summary, f.msg)
+	}
+	if err != nil {
+		return err
+	}
+	if err := summary(); err != nil {
+		return err
+	}
+	if j.failNoun != "" && rep.Summary.Failed > 0 {
+		return fmt.Errorf("%d %s", rep.Summary.Failed, j.failNoun)
+	}
+	return checkDegraded(rep)
+}
+
+// usageError is a command line the flag package rejected and has already
+// explained on stderr; main exits 2 (0 for -h) without repeating it.
+type usageError struct{ err error }
+
+func (e *usageError) Error() string { return e.err.Error() }
 
 // resumeCommand reconstructs this invocation with -resume appended, for the
 // interrupted-with-checkpoint hint.
@@ -184,23 +296,24 @@ func checkDegraded(rep *campaign.Report) error {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
-  stm-campaign matrix    -t T -k K -n N [-posbudget B] [-negbudget B]   empirical Theorem 27 matrices
-  stm-campaign fuzz      -target NAME -schedules S                      schedule fuzzing
-  stm-campaign exhaustive -target NAME -n N -depth D [-reduce=false]   every schedule up to depth D (partial-order reduced by default)
-  stm-campaign converge  -n N -k K -t T -trials R                       detector-convergence sweep
-  stm-campaign relations -n N -schedules S [-gen random|starver|mixed]  timeliness-relation extraction
-  stm-campaign adversarial -n N -runs R [-steps S]                      parking adversary vs the Theorem 24 solver
-  stm-campaign byzantine -target NAME -n N [-crash LO:HI] [-byz LO:HI] [-strategies flip,stale,split] [-runs R] [-steps S]  Byzantine degradation matrix
-  stm-campaign netconv   -n N [-matrices sync,psync,async,mixed] [-runs R] [-steps S] [-delta D] [-gst G] [-probe P]  detector convergence over graded link matrices
-  stm-campaign monitor   -n N -steps S [-every E] [-gen random|starver|mixed]  online timeliness-graph monitoring
-NAME is a fuzz target: %s.
+	var engine, flight []string
+	fmt.Fprintln(os.Stderr, "usage:")
+	for _, sc := range subcommands {
+		fmt.Fprintf(os.Stderr, "  stm-campaign %-11s %s\n", sc.name, sc.usage)
+		if sc.engine {
+			engine = append(engine, sc.name)
+		}
+		if sc.flight {
+			flight = append(flight, sc.name)
+		}
+	}
+	fmt.Fprintf(os.Stderr, `NAME is a fuzz target: %s.
 T, K, N accept single values ("2") or inclusive ranges ("1:3").
-Common flags: -workers W (0 = GOMAXPROCS), -seed S, -json, -jsonl FILE,
--progress N (heartbeat to stderr every N jobs), -pprof ADDR (pprof+expvar),
--flight K (flight-recorder depth on campaigns with pooled runners).
-Resilience flags (campaign subcommands; routes through the fault-tolerant
-coordinator — the aggregate stays bit-identical to a plain run):
+Common flags: -seed S, -json, -pprof ADDR (pprof+expvar).
+Engine flags (%s; exhaustive only with -reduce=false):
+-workers W (0 = GOMAXPROCS), -jsonl FILE, -progress N (heartbeat to stderr
+every N jobs), and the resilience flags, which route through the
+fault-tolerant coordinator — the aggregate stays bit-identical to a plain run:
   -checkpoint FILE   journal completed jobs; interrupted runs leave a usable checkpoint
   -resume            skip jobs already in the -checkpoint journal
   -procs P           dispatch to P child worker processes (crash-isolated) instead of goroutines
@@ -213,24 +326,26 @@ coordinator — the aggregate stays bit-identical to a plain run):
                        (J is a job index or pP for probability P per job, e.g. p0.05)
                        crash@N | trunc@N | corrupt@N   coordinator dies after N journal
                        appends, leaving a clean, truncated, or corrupted tail
+-flight K (flight-recorder depth, dumped on violation or panic): %s.
 SIGINT/SIGTERM print the partial summary; with -checkpoint the exact resume
 invocation is printed on stderr.
 Exit codes: 0 clean; 1 error or property violation; 2 usage; 3 completed
 degraded (quarantined jobs); 4 interrupted with a usable checkpoint.
-`, explore.TargetNames("|"))
+`, explore.TargetNames("|"), strings.Join(engine, ", "), strings.Join(flight, ", "))
 }
 
-// common holds the flags every campaign shares.
+// common holds the flags the driver reads; the engine group and -flight are
+// registered only on the entries that honour them.
 type common struct {
-	workers   int
 	seed      int64
 	jsonOut   bool
-	jsonlOut  string
-	progress  int
 	pprofAddr string
 	flight    int
 
-	// Resilience flags (fault-tolerant coordinator).
+	// The engine group.
+	workers    int
+	jsonlOut   string
+	progress   int
 	checkpoint string
 	resume     bool
 	procs      int
@@ -239,14 +354,19 @@ type common struct {
 	retries    int
 }
 
-func (c *common) register(fs *flag.FlagSet) {
-	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+func (c *common) register(fs *flag.FlagSet, engine, flight bool) {
 	fs.Int64Var(&c.seed, "seed", 1, "campaign master seed")
 	fs.BoolVar(&c.jsonOut, "json", false, "emit a machine-readable JSON summary on stdout")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve pprof and expvar debug endpoints on this address (e.g. localhost:6060)")
+	if flight {
+		fs.IntVar(&c.flight, "flight", 0, "per-runner flight recorder depth, dumped on violation or panic (0 = off)")
+	}
+	if !engine {
+		return
+	}
+	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.StringVar(&c.jsonlOut, "jsonl", "", "stream one JSON record per job to this file")
 	fs.IntVar(&c.progress, "progress", 0, "emit a JSONL heartbeat to stderr every N completed jobs (0 = off)")
-	fs.StringVar(&c.pprofAddr, "pprof", "", "serve pprof and expvar debug endpoints on this address (e.g. localhost:6060)")
-	fs.IntVar(&c.flight, "flight", 0, "per-runner flight recorder depth, dumped on violation or panic (0 = off; honored by campaigns with pooled runners)")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "journal completed jobs to this file; interrupted runs resume from it")
 	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint journal, skipping completed jobs (aggregate stays bit-identical)")
 	fs.IntVar(&c.procs, "procs", 0, "dispatch jobs to this many child worker processes instead of in-process goroutines")
@@ -254,67 +374,6 @@ func (c *common) register(fs *flag.FlagSet) {
 	fs.DurationVar(&c.lease, "lease", 0, "per-attempt deadline before a job is requeued as hung (0 = 1m)")
 	fs.IntVar(&c.retries, "retries", 0, "re-leases per job before quarantine (0 = 3, negative = none)")
 }
-
-// session bundles the context ceremony every subcommand used to repeat:
-// begin applies coordinator resilience, instrumentation, and the
-// flight-recorder knob in the canonical order; openSink opens the -jsonl
-// stream (call it after validating inputs, so a bad invocation never leaves
-// a stream file behind); finish folds the sink's close error into the
-// campaign's; close stops instrumentation.
-type session struct {
-	ctx       context.Context
-	c         *common
-	cleanup   func()
-	sink      func(campaign.Outcome)
-	closeSink func() error
-}
-
-// begin starts a session for the named subcommand: it folds every common
-// context knob into one campaign.Options and applies it with a single
-// campaign.WithOptions call. name, args, and params feed the resilience
-// layer's checkpoint identity and worker respawn.
-func (c *common) begin(ctx context.Context, name string, args []string, params map[string]any) (*session, error) {
-	o := campaign.Options{Flight: c.flight}
-	cleanup := func() {}
-	// Resilience and instrumentation belong to the coordinating parent; a
-	// worker process (serve knob already installed) only carries the
-	// flight-recorder request.
-	if !campaign.ServingWorker(ctx) {
-		res, err := c.resilienceOptions(name, args, params)
-		if err != nil {
-			return nil, err
-		}
-		o.Resilience = res
-		if cleanup, err = c.instrument(&o); err != nil {
-			cleanup()
-			return nil, err
-		}
-	}
-	ctx = campaign.WithOptions(ctx, o)
-	return &session{ctx: ctx, c: c, cleanup: cleanup, closeSink: func() error { return nil }}, nil
-}
-
-// openSink opens the -jsonl stream and arms finish with its close error.
-func (s *session) openSink() error {
-	sink, closeSink, err := s.c.sink(s.ctx)
-	if err != nil {
-		return err
-	}
-	s.sink, s.closeSink = sink, closeSink
-	return nil
-}
-
-// finish closes the sink, folding its error into err when err is nil.
-func (s *session) finish(err error) error {
-	if cerr := s.closeSink(); err == nil {
-		err = cerr
-	}
-	s.closeSink = func() error { return nil }
-	return err
-}
-
-// close stops instrumentation (deferred by every caller).
-func (s *session) close() { s.cleanup() }
 
 // resilienceRequested reports whether any coordinator flag was set.
 func (c *common) resilienceRequested() bool {
@@ -403,28 +462,7 @@ func (c *common) instrument(o *campaign.Options) (func(), error) {
 	return cleanup, nil
 }
 
-// sink opens the -jsonl stream; the returned close function also surfaces
-// encoding errors observed during the run. Worker processes skip it — they
-// inherit the parent's -jsonl flag but must not clobber the parent's file.
-func (c *common) sink(ctx context.Context) (func(campaign.Outcome), func() error, error) {
-	if c.jsonlOut == "" || campaign.ServingWorker(ctx) {
-		return nil, func() error { return nil }, nil
-	}
-	f, err := os.Create(c.jsonlOut)
-	if err != nil {
-		return nil, nil, err
-	}
-	sink, sinkErr := campaign.JSONLSink(f)
-	closeFn := func() error {
-		if err := f.Close(); err != nil {
-			return err
-		}
-		return *sinkErr
-	}
-	return sink, closeFn, nil
-}
-
-// record is the -json summary envelope shared by all subcommands.
+// record is the -json summary envelope shared by all campaign entries.
 type record struct {
 	Campaign  string           `json:"campaign"`
 	Params    map[string]any   `json:"params"`
@@ -434,21 +472,21 @@ type record struct {
 	Summary   campaign.Summary `json:"summary"`
 }
 
-// newRecord fills the -json summary envelope for one finished campaign.
-func newRecord(c common, name string, params map[string]any, rep *campaign.Report) record {
-	return record{
-		Campaign:  name,
-		Params:    params,
-		Seed:      c.seed,
-		Workers:   rep.Workers,
-		ElapsedNS: int64(rep.Elapsed),
-		Summary:   rep.Summary,
-	}
-}
-
-func emit(w io.Writer, c common, name string, params map[string]any, rep *campaign.Report) error {
+// summarize writes a finished campaign's summary: the -json record (with
+// the entry's cells, if any), or the entry's rendering and the summary lines.
+func (j *job) summarize(w io.Writer, c *common, name string, rep *campaign.Report) error {
 	if c.jsonOut {
-		return json.NewEncoder(w).Encode(newRecord(c, name, params, rep))
+		rec := record{Campaign: name, Params: j.params, Seed: c.seed, Workers: rep.Workers, ElapsedNS: int64(rep.Elapsed), Summary: rep.Summary}
+		if j.cells == nil {
+			return json.NewEncoder(w).Encode(rec)
+		}
+		return json.NewEncoder(w).Encode(struct {
+			record
+			Cells any `json:"cells"`
+		}{rec, j.cells()})
+	}
+	if j.render != nil {
+		j.render(w, rep)
 	}
 	s := rep.Summary
 	fmt.Fprintf(w, "campaign %s: %d jobs, %d completed, %d ok, %d failed (workers=%d, %.3fs)\n",
@@ -461,6 +499,23 @@ func emit(w io.Writer, c common, name string, params map[string]any, rep *campai
 			s.Steps.Min, s.Steps.P50, s.Steps.P90, s.Steps.P99, s.Steps.Max, s.Steps.Mean)
 	}
 	return nil
+}
+
+// failure is a campaign that stopped on a violation or a failure but still
+// produced a report: the driver writes line, then the summary, then fails
+// with msg.
+type failure struct{ line, msg string }
+
+func (f *failure) Error() string { return f.msg }
+
+// violation turns a safety violation that still produced a report into a
+// failure naming the runs executed.
+func violation(name string, rep *campaign.Report, runs int, err error) error {
+	var v *explore.Violation
+	if rep != nil && errors.As(err, &v) {
+		return &failure{fmt.Sprintf("VIOLATION after %d runs: %v", runs, v), name + " campaign found a violation"}
+	}
+	return err
 }
 
 // failed ends a campaign that stopped on a violation or a failure: line goes
@@ -498,216 +553,156 @@ func parseRange(text string) (int, int, error) {
 	return l, h, nil
 }
 
-func cmdMatrix(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("matrix", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func matrixCmd(fs *flag.FlagSet, c *common) func() (*job, error) {
 	tRange := fs.String("t", "2", "resilience t (value or lo:hi range)")
 	kRange := fs.String("k", "2", "agreement parameter k (value or range)")
 	nRange := fs.String("n", "4", "system size n (value or range)")
 	posBudget := fs.Int("posbudget", 3_000_000, "step budget for solvable cells")
 	negBudget := fs.Int("negbudget", 300_000, "step horizon for unsolvable cells")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	t0, t1, err := parseRange(*tRange)
-	if err != nil {
-		return err
-	}
-	k0, k1, err := parseRange(*kRange)
-	if err != nil {
-		return err
-	}
-	n0, n1, err := parseRange(*nRange)
-	if err != nil {
-		return err
-	}
-	var problems []core.Problem
-	for n := n0; n <= n1; n++ {
-		for t := t0; t <= t1; t++ {
-			for k := k0; k <= k1; k++ {
-				p := core.Problem{T: t, K: k, N: n}
-				if p.Validate() == nil {
-					problems = append(problems, p)
+	return func() (*job, error) {
+		var lo, hi [3]int // t, k, n
+		for i, text := range []string{*tRange, *kRange, *nRange} {
+			var err error
+			if lo[i], hi[i], err = parseRange(text); err != nil {
+				return nil, err
+			}
+		}
+		var problems []core.Problem
+		for n := lo[2]; n <= hi[2]; n++ {
+			for t := lo[0]; t <= hi[0]; t++ {
+				for k := lo[1]; k <= hi[1]; k++ {
+					p := core.Problem{T: t, K: k, N: n}
+					if p.Validate() == nil {
+						problems = append(problems, p)
+					}
 				}
 			}
 		}
-	}
-	if len(problems) == 0 {
-		return fmt.Errorf("no valid (t,k,n) problems in t=%s k=%s n=%s", *tRange, *kRange, *nRange)
-	}
-	params := map[string]any{
-		"t": *tRange, "k": *kRange, "n": *nRange,
-		"posbudget": *posBudget, "negbudget": *negBudget,
-		"problems": len(problems),
-	}
-	s, err := c.begin(ctx, "matrix", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	cells, rep, err := experiments.MatrixSweep(s.ctx, problems, c.seed, *posBudget, *negBudget, c.workers, s.sink)
-	if err = s.finish(err); err != nil {
-		return err
-	}
-	if !c.jsonOut {
-		var tb *trace.Table
-		var last core.Problem
-		for _, cell := range cells {
-			if tb == nil || cell.Problem != last {
+		if len(problems) == 0 {
+			return nil, fmt.Errorf("no valid (t,k,n) problems in t=%s k=%s n=%s", *tRange, *kRange, *nRange)
+		}
+		var cells []experiments.MatrixCell
+		return &job{
+			params: map[string]any{
+				"t": *tRange, "k": *kRange, "n": *nRange,
+				"posbudget": *posBudget, "negbudget": *negBudget,
+				"problems": len(problems),
+			},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (rep *campaign.Report, err error) {
+				cells, rep, err = experiments.MatrixSweep(ctx, problems, c.seed, *posBudget, *negBudget, c.workers, sink)
+				return rep, err
+			},
+			render: func(w io.Writer, _ *campaign.Report) {
+				var tb *trace.Table
+				var last core.Problem
+				for _, cell := range cells {
+					if tb == nil || cell.Problem != last {
+						if tb != nil {
+							fmt.Fprintln(w, tb.Render())
+						}
+						last = cell.Problem
+						tb = trace.NewTable(fmt.Sprintf("Theorem 27 matrix for %v", cell.Problem),
+							"i", "j", "theory", "empirical", "match")
+					}
+					theory := "unsolvable"
+					if cell.Theory {
+						theory = "solvable"
+					}
+					match := "yes"
+					if !cell.Match {
+						match = "NO"
+					}
+					tb.AddRow(cell.I, cell.J, theory, cell.Empirical, match)
+				}
 				if tb != nil {
 					fmt.Fprintln(w, tb.Render())
 				}
-				last = cell.Problem
-				tb = trace.NewTable(fmt.Sprintf("Theorem 27 matrix for %v", cell.Problem),
-					"i", "j", "theory", "empirical", "match")
-			}
-			theory := "unsolvable"
-			if cell.Theory {
-				theory = "solvable"
-			}
-			match := "yes"
-			if !cell.Match {
-				match = "NO"
-			}
-			tb.AddRow(cell.I, cell.J, theory, cell.Empirical, match)
-		}
-		if tb != nil {
-			fmt.Fprintln(w, tb.Render())
-		}
+			},
+			failNoun: "cells did not match the characterization",
+		}, nil
 	}
-	if err := emit(w, c, "matrix", params, rep); err != nil {
-		return err
-	}
-	if rep.Summary.Failed > 0 {
-		return fmt.Errorf("%d cells did not match the characterization", rep.Summary.Failed)
-	}
-	return checkDegraded(rep)
 }
 
-func cmdFuzz(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("fuzz", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func fuzzCmd(fs *flag.FlagSet, c *common) func() (*job, error) {
 	target := fs.String("target", explore.TargetCommitAdopt, "protocol to fuzz ("+explore.TargetNames("|")+")")
 	n := fs.Int("n", 4, "number of processes")
 	steps := fs.Int("steps", 300, "steps per schedule")
 	schedules := fs.Int("schedules", 1000, "number of schedules")
 	crashSpec := fs.String("crashes", "", "crash patterns, e.g. \"p1@3;p2@0,p4@9\" (empty = failure-free)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	patterns, err := parseCrashPatterns(*crashSpec)
-	if err != nil {
-		return err
-	}
-	params := map[string]any{"target": *target, "n": *n, "steps": *steps, "schedules": *schedules}
-	s, err := c.begin(ctx, "fuzz", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	// Resolve the target before opening the -jsonl sink so invalid
-	// invocations don't create (and leak) the stream file.
-	build, err := explore.PooledTargetBuilder(*target, *n)
-	if err != nil {
-		return err
-	}
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, runs, err := explore.FuzzPooledCampaign(s.ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, s.sink)
-	if err = s.finish(err); err != nil {
-		var v *explore.Violation
-		if rep != nil && errors.As(err, &v) {
-			return failed(w, os.Stderr, c.jsonOut, fmt.Sprintf("VIOLATION after %d runs: %v", runs, v),
-				func() error { return emit(w, c, "fuzz", params, rep) }, "fuzz campaign found a violation")
+	return func() (*job, error) {
+		patterns, err := parseCrashPatterns(*crashSpec)
+		if err != nil {
+			return nil, err
 		}
-		return err
+		build, err := explore.PooledTargetBuilder(*target, *n)
+		if err != nil {
+			return nil, err
+		}
+		return &job{
+			params: map[string]any{"target": *target, "n": *n, "steps": *steps, "schedules": *schedules},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, error) {
+				rep, runs, err := explore.FuzzPooledCampaign(ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, sink)
+				return rep, violation("fuzz", rep, runs, err)
+			},
+		}, nil
 	}
-	if err := emit(w, c, "fuzz", params, rep); err != nil {
-		return err
-	}
-	return checkDegraded(rep)
 }
 
-// cmdExhaustive sweeps every schedule of exactly -depth steps over -n
+// exhaustiveCmd sweeps every schedule of exactly -depth steps over -n
 // processes for the named target. By default the sweep is partial-order
 // reduced: one canonical representative per class of schedules that differ
 // only by swapping adjacent commuting operations, with the states-explored
 // accounting in the summary. -reduce=false runs the full n^depth enumeration
 // on the campaign engine instead (the reduction's ground truth).
-func cmdExhaustive(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("exhaustive", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func exhaustiveCmd(fs *flag.FlagSet, c *common) func() (*job, error) {
 	target := fs.String("target", explore.TargetCommitAdopt, "protocol to explore ("+explore.TargetNames("|")+")")
 	n := fs.Int("n", 2, "number of processes (1..4)")
 	depth := fs.Int("depth", 10, "schedule length (every schedule of exactly this depth)")
 	reduce := fs.Bool("reduce", true, "prune commutation-equivalent schedules (sleep-set partial-order reduction)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	params := map[string]any{"target": *target, "n": *n, "depth": *depth, "reduce": *reduce}
-	if *reduce && c.resilienceRequested() {
-		return fmt.Errorf("the reduced exhaustive sweep is a single sequential explorer; checkpoint/chaos flags need the campaign engine (-reduce=false)")
-	}
-	s, err := c.begin(ctx, "exhaustive", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	build, err := explore.PooledTargetBuilder(*target, *n)
-	if err != nil {
-		return err
-	}
-	if !*reduce {
-		if err := s.openSink(); err != nil {
-			return err
+	return func() (*job, error) {
+		if *reduce && (c.workers != 0 || c.jsonlOut != "" || c.progress != 0 || c.resilienceRequested()) {
+			return nil, fmt.Errorf("the reduced exhaustive sweep is a single sequential explorer; -workers, -jsonl, -progress and checkpoint/chaos flags need the campaign engine (-reduce=false)")
 		}
-		rep, runs, err := explore.ExhaustivePooledCampaign(s.ctx, c.workers, *n, *depth, build, s.sink)
-		if err = s.finish(err); err != nil {
+		build, err := explore.PooledTargetBuilder(*target, *n)
+		if err != nil {
+			return nil, err
+		}
+		params := map[string]any{"target": *target, "n": *n, "depth": *depth, "reduce": *reduce}
+		if !*reduce {
+			return &job{params: params, run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, error) {
+				rep, runs, err := explore.ExhaustivePooledCampaign(ctx, c.workers, *n, *depth, build, sink)
+				return rep, violation("exhaustive", rep, runs, err)
+			}}, nil
+		}
+		return &job{params: params, own: func(_ context.Context, w io.Writer) error {
+			stats, err := explore.ExhaustiveReduced(*n, *depth, build)
 			var v *explore.Violation
-			if rep != nil && errors.As(err, &v) {
-				return failed(w, os.Stderr, c.jsonOut, fmt.Sprintf("VIOLATION after %d runs: %v", runs, v),
-					func() error { return emit(w, c, "exhaustive", params, rep) }, "exhaustive campaign found a violation")
+			if err != nil && !errors.As(err, &v) {
+				return err
 			}
-			return err
-		}
-		if err := emit(w, c, "exhaustive", params, rep); err != nil {
-			return err
-		}
-		return checkDegraded(rep)
-	}
-	stats, err := explore.ExhaustiveReduced(*n, *depth, build)
-	summary := struct {
-		Campaign  string               `json:"campaign"`
-		Params    map[string]any       `json:"params"`
-		Stats     explore.ReducedStats `json:"stats"`
-		Reduction float64              `json:"reduction"`
-	}{"exhaustive", params, stats, stats.Ratio()}
-	if err != nil {
-		var v *explore.Violation
-		if errors.As(err, &v) {
-			return failed(w, os.Stderr, c.jsonOut, fmt.Sprintf("VIOLATION after %d canonical schedules: %v", stats.Schedules, v),
-				func() error {
-					if c.jsonOut {
-						return json.NewEncoder(w).Encode(summary)
-					}
+			summary := func() error {
+				if !c.jsonOut {
 					return nil
-				}, "exhaustive sweep found a violation")
-		}
-		return err
+				}
+				return json.NewEncoder(w).Encode(struct {
+					Campaign  string               `json:"campaign"`
+					Params    map[string]any       `json:"params"`
+					Stats     explore.ReducedStats `json:"stats"`
+					Reduction float64              `json:"reduction"`
+				}{"exhaustive", params, stats, stats.Ratio()})
+			}
+			if v != nil {
+				return failed(w, os.Stderr, c.jsonOut, fmt.Sprintf("VIOLATION after %d canonical schedules: %v", stats.Schedules, v),
+					summary, "exhaustive sweep found a violation")
+			}
+			if c.jsonOut {
+				return summary()
+			}
+			fmt.Fprintf(w, "exhaustive %s: n=%d depth=%d: %d of %d schedules executed (%.1fx reduction), %d states expanded, %d simulator steps\n",
+				*target, *n, *depth, stats.Schedules, stats.Total, stats.Ratio(), stats.States, stats.Steps)
+			return nil
+		}}, nil
 	}
-	if c.jsonOut {
-		return json.NewEncoder(w).Encode(summary)
-	}
-	fmt.Fprintf(w, "exhaustive %s: n=%d depth=%d: %d of %d schedules executed (%.1fx reduction), %d states expanded, %d simulator steps\n",
-		*target, *n, *depth, stats.Schedules, stats.Total, stats.Ratio(), stats.States, stats.Steps)
-	return nil
 }
 
 // parseCrashPatterns parses "p1@3;p2@0,p4@9": patterns separated by ';',
@@ -746,48 +741,30 @@ func parseCrashPatterns(spec string) ([]map[procset.ID]int, error) {
 	return patterns, nil
 }
 
-func cmdAdversarial(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("adversarial", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func adversarialCmd(fs *flag.FlagSet, c *common) func() (*job, error) {
 	n := fs.Int("n", 4, "number of processes (solver runs at k = t = n/2)")
 	steps := fs.Int("steps", 100_000, "step horizon per run")
 	runs := fs.Int("runs", 32, "number of runs (cycles through the crash-pattern population)")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func() (*job, error) {
+		return &job{
+			params: map[string]any{"n": *n, "steps": *steps, "runs": *runs},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, error) {
+				rep, executed, err := explore.AdversarialPooledCampaign(ctx, c.workers, *n, *steps, *runs, c.seed, sink)
+				if err != nil && rep != nil {
+					err = &failure{fmt.Sprintf("FAILED after %d runs: %v", executed, err), "adversarial campaign failed"}
+				}
+				return rep, err
+			},
+		}, nil
 	}
-	params := map[string]any{"n": *n, "steps": *steps, "runs": *runs}
-	s, err := c.begin(ctx, "adversarial", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, executed, err := explore.AdversarialPooledCampaign(s.ctx, c.workers, *n, *steps, *runs, c.seed, s.sink)
-	if err = s.finish(err); err != nil {
-		if rep != nil {
-			return failed(w, os.Stderr, c.jsonOut, fmt.Sprintf("FAILED after %d runs: %v", executed, err),
-				func() error { return emit(w, c, "adversarial", params, rep) }, "adversarial campaign failed")
-		}
-		return err
-	}
-	if err := emit(w, c, "adversarial", params, rep); err != nil {
-		return err
-	}
-	return checkDegraded(rep)
 }
 
-// cmdByzantine sweeps the Byzantine degradation grid: (crash count × byz
+// byzantineCmd sweeps the Byzantine degradation grid: (crash count × byz
 // count × corruption strategy) cells against one workload, each cell
 // classified safe/degraded/violated over its runs. Violated cells are data
 // — the sweep exits 0 when it completes — and the matrix is invariant under
 // -workers and -procs.
-func cmdByzantine(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("byzantine", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func byzantineCmd(fs *flag.FlagSet, c *common) func() (*job, error) {
 	target := fs.String("target", explore.TargetConsensus, "workload ("+explore.TargetNames("|")+")")
 	n := fs.Int("n", 3, "number of processes")
 	crashRange := fs.String("crash", "0:1", "crash counts swept (value or lo:hi range)")
@@ -795,103 +772,76 @@ func cmdByzantine(ctx context.Context, args []string, w io.Writer) error {
 	strategies := fs.String("strategies", "flip,stale,split", "comma-separated corruption strategies for byz ≥ 1 cells")
 	runs := fs.Int("runs", 32, "runs per cell (each draws its own fault population)")
 	steps := fs.Int("steps", 100_000, "step horizon per run")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if _, err := explore.LookupTarget(*target); err != nil {
-		return err
-	}
-	crashLo, crashHi, err := parseRange(*crashRange)
-	if err != nil {
-		return err
-	}
-	byzLo, byzHi, err := parseRange(*byzRange)
-	if err != nil {
-		return err
-	}
-	if crashLo != 0 || byzLo != 0 {
-		return fmt.Errorf("byzantine: crash and byz ranges must start at 0 (the honest baseline anchors the matrix), got %s and %s", *crashRange, *byzRange)
-	}
-	var strats []adversary.Strategy
-	for _, s := range strings.Split(*strategies, ",") {
-		st, err := adversary.ParseStrategy(s)
+	return func() (*job, error) {
+		if _, err := explore.LookupTarget(*target); err != nil {
+			return nil, err
+		}
+		crashLo, crashHi, err := parseRange(*crashRange)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if st == adversary.StrategyNone {
-			return fmt.Errorf("byzantine: strategy \"none\" is implicit in the byz=0 cells; sweep real strategies")
+		byzLo, byzHi, err := parseRange(*byzRange)
+		if err != nil {
+			return nil, err
 		}
-		strats = append(strats, st)
-	}
-	params := map[string]any{
-		"target": *target, "n": *n, "crash": crashHi, "byz": byzHi,
-		"strategies": *strategies, "runs": *runs, "steps": *steps,
-	}
-	s, err := c.begin(ctx, "byzantine", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, cells, err := explore.ByzantineCampaign(s.ctx, explore.ByzConfig{
-		Target:     *target,
-		N:          *n,
-		CrashMax:   crashHi,
-		ByzMax:     byzHi,
-		Strategies: strats,
-		Runs:       *runs,
-		Steps:      *steps,
-		Seed:       c.seed,
-		Workers:    c.workers,
-	}, s.sink)
-	if err = s.finish(err); err != nil {
-		return err
-	}
-	if c.jsonOut {
-		enc := json.NewEncoder(w)
-		if err := enc.Encode(struct {
-			record
-			Cells []explore.ByzCell `json:"cells"`
-		}{newRecord(c, "byzantine", params, rep), cells}); err != nil {
-			return err
+		if crashLo != 0 || byzLo != 0 {
+			return nil, fmt.Errorf("byzantine: crash and byz ranges must start at 0 (the honest baseline anchors the matrix), got %s and %s", *crashRange, *byzRange)
 		}
-	} else {
-		tb := trace.NewTable(
-			fmt.Sprintf("Byzantine degradation matrix: %s, n=%d, %d runs/cell", *target, *n, *runs),
-			"crash", "byz", "strategy", "safe", "degraded", "violated", "class")
-		for _, cell := range cells {
-			tb.AddRow(cell.Crash, cell.Byz, cell.Strategy, cell.Safe, cell.Degraded, cell.Violated, cell.Class)
-		}
-		fmt.Fprintln(w, tb.Render())
-		for _, cell := range cells {
-			if cell.Violation != nil {
-				fmt.Fprintf(w, "cell c%d b%d %s first violation: %v\n", cell.Crash, cell.Byz, cell.Strategy, cell.Violation.Err)
-				if cell.Violation.Trace != "" {
-					fmt.Fprintln(w, cell.Violation.Trace)
-				}
-				if cell.Violation.Flight != "" {
-					fmt.Fprint(w, cell.Violation.Flight)
-				}
+		var strats []adversary.Strategy
+		for _, s := range strings.Split(*strategies, ",") {
+			st, err := adversary.ParseStrategy(s)
+			if err != nil {
+				return nil, err
 			}
+			if st == adversary.StrategyNone {
+				return nil, fmt.Errorf("byzantine: strategy \"none\" is implicit in the byz=0 cells; sweep real strategies")
+			}
+			strats = append(strats, st)
 		}
-		if err := emit(w, c, "byzantine", params, rep); err != nil {
-			return err
-		}
+		var cells []explore.ByzCell
+		return &job{
+			params: map[string]any{
+				"target": *target, "n": *n, "crash": crashHi, "byz": byzHi,
+				"strategies": *strategies, "runs": *runs, "steps": *steps,
+			},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (rep *campaign.Report, err error) {
+				rep, cells, err = explore.ByzantineCampaign(ctx, explore.ByzConfig{
+					Target: *target, N: *n, CrashMax: crashHi, ByzMax: byzHi, Strategies: strats,
+					Runs: *runs, Steps: *steps, Seed: c.seed, Workers: c.workers,
+				}, sink)
+				return rep, err
+			},
+			cells: func() any { return cells },
+			render: func(w io.Writer, _ *campaign.Report) {
+				tb := trace.NewTable(
+					fmt.Sprintf("Byzantine degradation matrix: %s, n=%d, %d runs/cell", *target, *n, *runs),
+					"crash", "byz", "strategy", "safe", "degraded", "violated", "class")
+				for _, cell := range cells {
+					tb.AddRow(cell.Crash, cell.Byz, cell.Strategy, cell.Safe, cell.Degraded, cell.Violated, cell.Class)
+				}
+				fmt.Fprintln(w, tb.Render())
+				for _, cell := range cells {
+					if cell.Violation != nil {
+						fmt.Fprintf(w, "cell c%d b%d %s first violation: %v\n", cell.Crash, cell.Byz, cell.Strategy, cell.Violation.Err)
+						if cell.Violation.Trace != "" {
+							fmt.Fprintln(w, cell.Violation.Trace)
+						}
+						if cell.Violation.Flight != "" {
+							fmt.Fprint(w, cell.Violation.Flight)
+						}
+					}
+				}
+			},
+		}, nil
 	}
-	return checkDegraded(rep)
 }
 
-// cmdNetConv sweeps detector convergence over graded link matrices: for
+// netconvCmd sweeps detector convergence over graded link matrices: for
 // each named msgnet matrix, many (schedule, delay) samples of the heartbeat
 // Ω detector, tallying convergence, elected leaders, and the per-link
 // grades an online obs.LinkMonitor extracted from the deliveries. The whole
 // matrix is invariant under -workers and -procs.
-func cmdNetConv(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("netconv", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func netconvCmd(fs *flag.FlagSet, c *common) func() (*job, error) {
 	n := fs.Int("n", 4, "number of processes (the mixed matrix needs ≥ 3)")
 	matrices := fs.String("matrices", "", "comma-separated link matrices to sweep: sync,psync,async,mixed (empty = all)")
 	delta := fs.Int("delta", 2, "timely grades' delivery bound Δ")
@@ -900,181 +850,103 @@ func cmdNetConv(ctx context.Context, args []string, w io.Writer) error {
 	wild := fs.Int("wild", 0, "unbounded-regime delivery bound (0 = msgnet default)")
 	runs := fs.Int("runs", 32, "samples per matrix")
 	steps := fs.Int("steps", 20_000, "step horizon per run")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var names []string
-	for _, m := range strings.Split(*matrices, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			names = append(names, m)
+	return func() (*job, error) {
+		var names []string
+		for _, m := range strings.Split(*matrices, ",") {
+			if m = strings.TrimSpace(m); m != "" {
+				names = append(names, m)
+			}
 		}
+		var cells []explore.NetCell
+		return &job{
+			params: map[string]any{
+				"n": *n, "matrices": strings.Join(names, ","), "delta": *delta, "gst": *gst,
+				"probe": *probe, "wild": *wild, "runs": *runs, "steps": *steps,
+			},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (rep *campaign.Report, err error) {
+				rep, cells, err = explore.NetConvCampaign(ctx, explore.NetConvConfig{
+					Matrices: names, N: *n, Delta: *delta, GST: *gst, Probe: *probe, Wild: *wild,
+					Runs: *runs, Steps: *steps, Seed: c.seed, Workers: c.workers,
+				}, sink)
+				return rep, err
+			},
+			cells: func() any { return cells },
+			render: func(w io.Writer, _ *campaign.Report) {
+				tb := trace.NewTable(
+					fmt.Sprintf("detector convergence over graded link matrices: n=%d, %d runs/matrix", *n, *runs),
+					"matrix", "runs", "converged", "split", "top leader", "top grades")
+				for _, cell := range cells {
+					leader, grades := "-", "-"
+					if len(cell.Leaders) > 0 {
+						leader = fmt.Sprintf("%s ×%d", cell.Leaders[0].Leader, cell.Leaders[0].Count)
+					}
+					if len(cell.Grades) > 0 {
+						grades = fmt.Sprintf("%s ×%d", cell.Grades[0].Grades, cell.Grades[0].Count)
+					}
+					tb.AddRow(cell.Matrix, cell.Runs, cell.Converged, cell.Split, leader, grades)
+				}
+				fmt.Fprintln(w, tb.Render())
+				for _, cell := range cells {
+					fmt.Fprintf(w, "%s sample: %s\n", cell.Matrix, cell.Sample)
+				}
+			},
+		}, nil
 	}
-	params := map[string]any{
-		"n": *n, "matrices": strings.Join(names, ","), "delta": *delta, "gst": *gst,
-		"probe": *probe, "wild": *wild, "runs": *runs, "steps": *steps,
-	}
-	s, err := c.begin(ctx, "netconv", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, cells, err := explore.NetConvCampaign(s.ctx, explore.NetConvConfig{
-		Matrices: names,
-		N:        *n,
-		Delta:    *delta,
-		GST:      *gst,
-		Probe:    *probe,
-		Wild:     *wild,
-		Runs:     *runs,
-		Steps:    *steps,
-		Seed:     c.seed,
-		Workers:  c.workers,
-	}, s.sink)
-	if err = s.finish(err); err != nil {
-		return err
-	}
-	if c.jsonOut {
-		return json.NewEncoder(w).Encode(struct {
-			record
-			Cells []explore.NetCell `json:"cells"`
-		}{newRecord(c, "netconv", params, rep), cells})
-	}
-	tb := trace.NewTable(
-		fmt.Sprintf("detector convergence over graded link matrices: n=%d, %d runs/matrix", *n, *runs),
-		"matrix", "runs", "converged", "split", "top leader", "top grades")
-	for _, cell := range cells {
-		leader, grades := "-", "-"
-		if len(cell.Leaders) > 0 {
-			leader = fmt.Sprintf("%s ×%d", cell.Leaders[0].Leader, cell.Leaders[0].Count)
-		}
-		if len(cell.Grades) > 0 {
-			grades = fmt.Sprintf("%s ×%d", cell.Grades[0].Grades, cell.Grades[0].Count)
-		}
-		tb.AddRow(cell.Matrix, cell.Runs, cell.Converged, cell.Split, leader, grades)
-	}
-	fmt.Fprintln(w, tb.Render())
-	for _, cell := range cells {
-		fmt.Fprintf(w, "%s sample: %s\n", cell.Matrix, cell.Sample)
-	}
-	if err := emit(w, c, "netconv", params, rep); err != nil {
-		return err
-	}
-	return checkDegraded(rep)
 }
 
-func cmdConverge(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("converge", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func convergeCmd(fs *flag.FlagSet, c *common) func() (*job, error) {
 	n := fs.Int("n", 4, "system size n")
 	k := fs.Int("k", 2, "detector parameter k")
 	t := fs.Int("t", 2, "resilience t")
 	bound := fs.Int("bound", 4, "Definition 1 bound enforced by the generator")
 	trials := fs.Int("trials", 32, "independent trials")
 	maxSteps := fs.Int("maxsteps", 2_000_000, "step budget per trial")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func() (*job, error) {
+		return &job{
+			params: map[string]any{"n": *n, "k": *k, "t": *t, "bound": *bound, "trials": *trials},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, error) {
+				return experiments.RunConvergenceSweep(ctx, experiments.ConvergenceConfig{
+					N: *n, K: *k, T: *t, Bound: *bound, Trials: *trials, MaxSteps: *maxSteps, Workers: c.workers,
+				}, c.seed, sink)
+			},
+			failNoun: "trials failed to converge or violated the property",
+		}, nil
 	}
-	params := map[string]any{"n": *n, "k": *k, "t": *t, "bound": *bound, "trials": *trials}
-	s, err := c.begin(ctx, "converge", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, err := experiments.RunConvergenceSweep(s.ctx, experiments.ConvergenceConfig{
-		N: *n, K: *k, T: *t, Bound: *bound, Trials: *trials, MaxSteps: *maxSteps, Workers: c.workers,
-	}, c.seed, s.sink)
-	if err = s.finish(err); err != nil {
-		return err
-	}
-	if err := emit(w, c, "converge", params, rep); err != nil {
-		return err
-	}
-	if rep.Summary.Failed > 0 {
-		return fmt.Errorf("%d trials failed to converge or violated the property", rep.Summary.Failed)
-	}
-	return checkDegraded(rep)
 }
 
-func cmdRelations(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("relations", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func relationsCmd(fs *flag.FlagSet, c *common) func() (*job, error) {
 	n := fs.Int("n", 4, "system size n (2..6)")
 	bound := fs.Int("bound", 4, "Definition 1 bound tested")
 	steps := fs.Int("steps", 2000, "prefix length analyzed per schedule")
 	schedules := fs.Int("schedules", 100, "population size")
 	gen := fs.String("gen", "mixed", "schedule generator: random|starver|mixed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	params := map[string]any{"n": *n, "bound": *bound, "steps": *steps, "schedules": *schedules, "gen": *gen}
-	s, err := c.begin(ctx, "relations", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, err := experiments.RunRelationsCampaign(s.ctx, experiments.RelationsConfig{
-		N: *n, Bound: *bound, Steps: *steps, Schedules: *schedules, Generator: *gen, Workers: c.workers,
-	}, c.seed, s.sink)
-	if err = s.finish(err); err != nil {
-		return err
-	}
-	if !c.jsonOut {
-		tb := trace.NewTable(
-			fmt.Sprintf("empirical timeliness relations over %d schedules (bound %d)", rep.Summary.Completed, *bound),
-			"system", "held", "fraction")
-		for i := 1; i <= *n; i++ {
-			for j := i; j <= *n; j++ {
-				held := rep.Summary.Tallies[experiments.RelationKey(i, j)]
-				frac := 0.0
-				if rep.Summary.Completed > 0 {
-					frac = float64(held) / float64(rep.Summary.Completed)
+	return func() (*job, error) {
+		return &job{
+			params: map[string]any{"n": *n, "bound": *bound, "steps": *steps, "schedules": *schedules, "gen": *gen},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, error) {
+				return experiments.RunRelationsCampaign(ctx, experiments.RelationsConfig{
+					N: *n, Bound: *bound, Steps: *steps, Schedules: *schedules, Generator: *gen, Workers: c.workers,
+				}, c.seed, sink)
+			},
+			render: func(w io.Writer, rep *campaign.Report) {
+				tb := trace.NewTable(
+					fmt.Sprintf("empirical timeliness relations over %d schedules (bound %d)", rep.Summary.Completed, *bound),
+					"system", "held", "fraction")
+				for i := 1; i <= *n; i++ {
+					for j := i; j <= *n; j++ {
+						held := rep.Summary.Tallies[experiments.RelationKey(i, j)]
+						frac := 0.0
+						if rep.Summary.Completed > 0 {
+							frac = float64(held) / float64(rep.Summary.Completed)
+						}
+						tb.AddRow(fmt.Sprintf("S^%d_{%d,%d}", i, j, *n), held, fmt.Sprintf("%.2f", frac))
+					}
 				}
-				tb.AddRow(fmt.Sprintf("S^%d_{%d,%d}", i, j, *n), held, fmt.Sprintf("%.2f", frac))
-			}
-		}
-		fmt.Fprintln(w, tb.Render())
+				fmt.Fprintln(w, tb.Render())
+			},
+		}, nil
 	}
-	if err := emit(w, c, "relations", params, rep); err != nil {
-		return err
-	}
-	return checkDegraded(rep)
 }
-
-// segmentSwitcher alternates between two sources in fixed-length segments,
-// exercising the monitor across regime changes (random churn versus
-// adversarial starvation) within a single run. Both regimes recur forever,
-// so the correct set is the union.
-type segmentSwitcher struct {
-	a, b sched.Source
-	seg  int
-	pos  int
-	onB  bool
-}
-
-func (s *segmentSwitcher) Next() procset.ID {
-	if s.pos == s.seg {
-		s.pos, s.onB = 0, !s.onB
-	}
-	s.pos++
-	if s.onB {
-		return s.b.Next()
-	}
-	return s.a.Next()
-}
-
-func (s *segmentSwitcher) N() int               { return s.a.N() }
-func (s *segmentSwitcher) Correct() procset.Set { return s.a.Correct().Union(s.b.Correct()) }
 
 // monitorSource builds the schedule source for the monitor subcommand,
 // mirroring the relations campaign's generator choices.
@@ -1097,7 +969,9 @@ func monitorSource(gen string, n int, seed int64) (sched.Source, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &segmentSwitcher{a: a, b: b, seg: 512}, nil
+		// Alternate 512-step segments of random churn and adversarial
+		// starvation within one run; the correct set is the union.
+		return sched.Interleave(a, b, 512, 512)
 	default:
 		return nil, fmt.Errorf("unknown -gen %q (want random|starver|mixed)", gen)
 	}
@@ -1115,126 +989,111 @@ func printGraph(w io.Writer, title string, graph []obs.SystemStatus, n int) {
 	fmt.Fprintln(w, tb.Render())
 }
 
-// cmdMonitor runs the online timeliness-graph monitor over a generated
+// monitorCmd runs the online timeliness-graph monitor over a generated
 // schedule, printing the graph periodically and cross-checking the final
 // state against the batch extractor on the retained schedule.
-func cmdMonitor(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("monitor", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func monitorCmd(fs *flag.FlagSet, c *common) func() (*job, error) {
 	n := fs.Int("n", 4, "system size n (2..6)")
 	gen := fs.String("gen", "mixed", "schedule generator: random|starver|mixed")
 	steps := fs.Int("steps", 4096, "steps to observe")
 	every := fs.Int("every", 1024, "print the timeliness graph every E steps (0 = final only)")
 	bound := fs.Int("bound", 4, "Definition 1 bound probed by the graph")
 	window := fs.Int("window", 0, "sliding-window size for the recent view (0 = cumulative only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *n < 2 || *n > 6 {
-		return fmt.Errorf("monitor tracks the full S^i_{j,n} family, which needs 2 <= n <= 6 (got %d)", *n)
-	}
-	if *steps < 1 {
-		return fmt.Errorf("-steps must be positive")
-	}
-	s, err := c.begin(ctx, "monitor", args,
-		map[string]any{"n": *n, "gen": *gen, "steps": *steps, "every": *every, "bound": *bound, "window": *window})
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	ctx = s.ctx
-	src, err := monitorSource(*gen, *n, c.seed)
-	if err != nil {
-		return err
-	}
-	m, err := obs.NewMonitor(obs.MonitorConfig{N: *n, Window: *window})
-	if err != nil {
-		return err
-	}
-	if c.pprofAddr != "" {
-		obs.Publish("monitor", func() any {
-			return map[string]any{"steps": m.Steps(), "graph": m.Graph(*bound)}
-		})
-	}
+	return func() (*job, error) {
+		if *n < 2 || *n > 6 {
+			return nil, fmt.Errorf("monitor tracks the full S^i_{j,n} family, which needs 2 <= n <= 6 (got %d)", *n)
+		}
+		if *steps < 1 {
+			return nil, fmt.Errorf("-steps must be positive")
+		}
+		return &job{own: func(ctx context.Context, w io.Writer) error {
+			src, err := monitorSource(*gen, *n, c.seed)
+			if err != nil {
+				return err
+			}
+			m, err := obs.NewMonitor(obs.MonitorConfig{N: *n, Window: *window})
+			if err != nil {
+				return err
+			}
+			if c.pprofAddr != "" {
+				obs.Publish("monitor", func() any {
+					return map[string]any{"steps": m.Steps(), "graph": m.Graph(*bound)}
+				})
+			}
 
-	// Feed the monitor in blocks (the bulk path the engines use), retaining
-	// the full schedule so the final state can be cross-checked below.
-	full := make(sched.Schedule, 0, *steps)
-	var block [256]procset.ID
-	nextPrint := *steps
-	if *every > 0 {
-		nextPrint = *every
-	}
-	for done := 0; done < *steps; {
-		if ctx.Err() != nil {
-			return fmt.Errorf("interrupted after %d steps", done)
-		}
-		k := len(block)
-		if rem := *steps - done; rem < k {
-			k = rem
-		}
-		if rem := nextPrint - done; rem < k {
-			k = rem
-		}
-		sched.FillBlock(src, block[:k])
-		m.ObserveBlock(block[:k])
-		full = append(full, block[:k]...)
-		done += k
-		if done == nextPrint {
-			if *every > 0 && !c.jsonOut {
+			show := func() {
 				printGraph(w, fmt.Sprintf("timeliness graph after %d steps (bound %d)", m.Steps(), *bound), m.Graph(*bound), *n)
 				if *window > 0 {
 					win := len(m.WindowSchedule())
 					printGraph(w, fmt.Sprintf("recent view: last %d steps (bound %d)", win, *bound), m.RecentGraph(*bound), *n)
 				}
-				nextPrint += *every
-			} else {
-				nextPrint = *steps
 			}
-		}
-	}
 
-	// The online monitor must agree with the batch extractor on the schedule
-	// it just observed; a mismatch is a bug, not a measurement.
-	for i := 1; i <= *n; i++ {
-		for j := i; j <= *n; j++ {
-			if got, want := m.Best(i, j), sched.BestPair(full, *n, i, j); got != want {
-				return fmt.Errorf("monitor disagrees with batch extractor on S^%d_{%d,%d}: online %+v, batch %+v", i, j, *n, got, want)
+			// Feed the monitor in blocks (the bulk path the engines use), retaining
+			// the full schedule so the final state can be cross-checked below.
+			full := make(sched.Schedule, 0, *steps)
+			var block [256]procset.ID
+			nextPrint := *steps
+			if *every > 0 {
+				nextPrint = *every
 			}
-			if got, want := m.InSystem(i, j, *bound), sched.InSystem(full, *n, i, j, *bound); got != want {
-				return fmt.Errorf("monitor InSystem(%d,%d,%d) = %v, batch says %v", i, j, *bound, got, want)
+			for done := 0; done < *steps; {
+				if ctx.Err() != nil {
+					return fmt.Errorf("interrupted after %d steps", done)
+				}
+				k := min(len(block), *steps-done, nextPrint-done)
+				sched.FillBlock(src, block[:k])
+				m.ObserveBlock(block[:k])
+				full = append(full, block[:k]...)
+				done += k
+				if done == nextPrint {
+					if *every > 0 && !c.jsonOut {
+						show()
+						nextPrint += *every
+					} else {
+						nextPrint = *steps
+					}
+				}
 			}
-		}
-	}
 
-	if c.jsonOut {
-		out := struct {
-			Campaign string             `json:"campaign"`
-			Params   map[string]any     `json:"params"`
-			Seed     int64              `json:"seed"`
-			Steps    int                `json:"steps"`
-			Graph    []obs.SystemStatus `json:"graph"`
-			Recent   []obs.SystemStatus `json:"recent,omitempty"`
-		}{
-			Campaign: "monitor",
-			Params:   map[string]any{"n": *n, "gen": *gen, "every": *every, "bound": *bound, "window": *window},
-			Seed:     c.seed,
-			Steps:    m.Steps(),
-			Graph:    m.Graph(*bound),
-		}
-		if *window > 0 {
-			out.Recent = m.RecentGraph(*bound)
-		}
-		return json.NewEncoder(w).Encode(out)
+			// The online monitor must agree with the batch extractor on the schedule
+			// it just observed; a mismatch is a bug, not a measurement.
+			for i := 1; i <= *n; i++ {
+				for j := i; j <= *n; j++ {
+					if got, want := m.Best(i, j), sched.BestPair(full, *n, i, j); got != want {
+						return fmt.Errorf("monitor disagrees with batch extractor on S^%d_{%d,%d}: online %+v, batch %+v", i, j, *n, got, want)
+					}
+					if got, want := m.InSystem(i, j, *bound), sched.InSystem(full, *n, i, j, *bound); got != want {
+						return fmt.Errorf("monitor InSystem(%d,%d,%d) = %v, batch says %v", i, j, *bound, got, want)
+					}
+				}
+			}
+
+			if c.jsonOut {
+				out := struct {
+					Campaign string             `json:"campaign"`
+					Params   map[string]any     `json:"params"`
+					Seed     int64              `json:"seed"`
+					Steps    int                `json:"steps"`
+					Graph    []obs.SystemStatus `json:"graph"`
+					Recent   []obs.SystemStatus `json:"recent,omitempty"`
+				}{
+					Campaign: "monitor",
+					Params:   map[string]any{"n": *n, "gen": *gen, "every": *every, "bound": *bound, "window": *window},
+					Seed:     c.seed,
+					Steps:    m.Steps(),
+					Graph:    m.Graph(*bound),
+				}
+				if *window > 0 {
+					out.Recent = m.RecentGraph(*bound)
+				}
+				return json.NewEncoder(w).Encode(out)
+			}
+			if *every <= 0 || *steps%*every != 0 {
+				show()
+			}
+			fmt.Fprintf(w, "monitor: %d steps observed, online state verified against the batch extractor\n", m.Steps())
+			return nil
+		}}, nil
 	}
-	if *every <= 0 || *steps%*every != 0 {
-		printGraph(w, fmt.Sprintf("timeliness graph after %d steps (bound %d)", m.Steps(), *bound), m.Graph(*bound), *n)
-		if *window > 0 {
-			win := len(m.WindowSchedule())
-			printGraph(w, fmt.Sprintf("recent view: last %d steps (bound %d)", win, *bound), m.RecentGraph(*bound), *n)
-		}
-	}
-	fmt.Fprintf(w, "monitor: %d steps observed, online state verified against the batch extractor\n", m.Steps())
-	return nil
 }

@@ -6,9 +6,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,6 +29,15 @@ func TestMain(m *testing.M) {
 		return // unreachable: runWorker exits
 	}
 	os.Exit(m.Run())
+}
+
+// runCmd runs one subcommand through the table's driver, as main does.
+func runCmd(name string, args []string, w io.Writer) error {
+	err, known := dispatch(context.Background(), name, args, w)
+	if !known {
+		return fmt.Errorf("no subcommand %q", name)
+	}
+	return err
 }
 
 func TestParseRange(t *testing.T) {
@@ -92,7 +105,7 @@ func TestFailedRoutesReport(t *testing.T) {
 func TestMatrixCampaignSmoke(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	err := cmdMatrix(context.Background(), []string{"-t", "1", "-k", "1", "-n", "2",
+	err := runCmd("matrix", []string{"-t", "1", "-k", "1", "-n", "2",
 		"-posbudget", "500000", "-negbudget", "20000", "-workers", "2", "-json"}, &out)
 	if err != nil {
 		t.Fatalf("matrix campaign failed: %v\noutput: %s", err, out.String())
@@ -110,7 +123,7 @@ func TestFuzzCampaignSmokeWithJSONL(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "fuzz.jsonl")
 	var out bytes.Buffer
-	err := cmdFuzz(context.Background(), []string{"-target", "commitadopt", "-n", "3", "-steps", "60",
+	err := runCmd("fuzz", []string{"-target", "commitadopt", "-n", "3", "-steps", "60",
 		"-schedules", "40", "-crashes", "p1@3", "-workers", "2", "-json", "-jsonl", path}, &out)
 	if err != nil {
 		t.Fatalf("fuzz campaign failed: %v\noutput: %s", err, out.String())
@@ -143,7 +156,7 @@ func TestFuzzCampaignSmokeWithJSONL(t *testing.T) {
 func TestConvergeCampaignSmoke(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	err := cmdConverge(context.Background(), []string{"-n", "3", "-k", "1", "-t", "1", "-trials", "3", "-workers", "2", "-json"}, &out)
+	err := runCmd("converge", []string{"-n", "3", "-k", "1", "-t", "1", "-trials", "3", "-workers", "2", "-json"}, &out)
 	if err != nil {
 		t.Fatalf("converge campaign failed: %v\noutput: %s", err, out.String())
 	}
@@ -159,7 +172,7 @@ func TestConvergeCampaignSmoke(t *testing.T) {
 func TestAdversarialCampaignSmoke(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	err := cmdAdversarial(context.Background(), []string{"-n", "3", "-runs", "6", "-steps", "20000", "-workers", "2", "-json"}, &out)
+	err := runCmd("adversarial", []string{"-n", "3", "-runs", "6", "-steps", "20000", "-workers", "2", "-json"}, &out)
 	if err != nil {
 		t.Fatalf("adversarial campaign failed: %v\noutput: %s", err, out.String())
 	}
@@ -175,7 +188,7 @@ func TestAdversarialCampaignSmoke(t *testing.T) {
 func TestRelationsCampaignSmoke(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	err := cmdRelations(context.Background(), []string{"-n", "3", "-steps", "200", "-schedules", "8", "-workers", "2"}, &out)
+	err := runCmd("relations", []string{"-n", "3", "-steps", "200", "-schedules", "8", "-workers", "2"}, &out)
 	if err != nil {
 		t.Fatalf("relations campaign failed: %v\noutput: %s", err, out.String())
 	}
@@ -192,16 +205,15 @@ func TestUnknownTargetRejected(t *testing.T) {
 	_, want := explore.LookupTarget("nope")
 	for _, tc := range []struct {
 		name  string
-		cmd   func(context.Context, []string, io.Writer) error
 		extra []string
 	}{
-		{"fuzz", cmdFuzz, nil},
-		{"exhaustive", cmdExhaustive, []string{"-reduce=false"}},
-		{"byzantine", cmdByzantine, nil},
+		{"fuzz", nil},
+		{"exhaustive", []string{"-reduce=false"}},
+		{"byzantine", nil},
 	} {
 		path := filepath.Join(t.TempDir(), tc.name+".jsonl")
 		var out bytes.Buffer
-		err := tc.cmd(context.Background(), append([]string{"-target", "nope", "-jsonl", path}, tc.extra...), &out)
+		err := runCmd(tc.name, append([]string{"-target", "nope", "-jsonl", path}, tc.extra...), &out)
 		if err == nil || err.Error() != want.Error() {
 			t.Errorf("%s: error = %v, want %v", tc.name, err, want)
 		}
@@ -217,7 +229,7 @@ func TestCampaignJSONDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	summary := func(workers string) string {
 		var out bytes.Buffer
-		err := cmdRelations(context.Background(), []string{"-n", "3", "-steps", "200", "-schedules", "10",
+		err := runCmd("relations", []string{"-n", "3", "-steps", "200", "-schedules", "10",
 			"-seed", "5", "-workers", workers, "-json"}, &out)
 		if err != nil {
 			t.Fatal(err)
@@ -243,7 +255,7 @@ func TestMonitorSmoke(t *testing.T) {
 	// Non-multiple of -every exercises both the periodic and the final print;
 	// the command itself cross-checks the monitor against the batch extractor
 	// and fails on any mismatch.
-	err := cmdMonitor(context.Background(), []string{"-n", "4", "-steps", "1500", "-every", "700", "-window", "128", "-seed", "3"}, &out)
+	err := runCmd("monitor", []string{"-n", "4", "-steps", "1500", "-every", "700", "-window", "128", "-seed", "3"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +270,7 @@ func TestMonitorSmoke(t *testing.T) {
 func TestMonitorJSON(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	if err := cmdMonitor(context.Background(), []string{"-n", "3", "-gen", "random", "-steps", "600", "-json"}, &out); err != nil {
+	if err := runCmd("monitor", []string{"-n", "3", "-gen", "random", "-steps", "600", "-json"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var rec struct {
@@ -281,15 +293,15 @@ func TestMonitorJSON(t *testing.T) {
 func TestMonitorRejectsBadFlags(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	if err := cmdMonitor(context.Background(), []string{"-n", "7"}, &out); err == nil {
+	if err := runCmd("monitor", []string{"-n", "7"}, &out); err == nil {
 		t.Error("n=7 accepted (full family tracking is bounded at 6)")
 	}
-	if err := cmdMonitor(context.Background(), []string{"-gen", "bogus"}, &out); err == nil {
+	if err := runCmd("monitor", []string{"-gen", "bogus"}, &out); err == nil {
 		t.Error("bogus generator accepted")
 	}
 }
 
-// fuzzSummary runs cmdFuzz with the given extra flags prepended to a fixed
+// fuzzSummary runs fuzz with the given extra flags prepended to a fixed
 // base invocation and returns the marshaled -json Summary (deterministic:
 // no wall-clock fields).
 func fuzzSummary(t *testing.T, extra ...string) string {
@@ -297,9 +309,9 @@ func fuzzSummary(t *testing.T, extra ...string) string {
 	base := []string{"-target", "consensus", "-n", "3", "-steps", "60",
 		"-schedules", "30", "-seed", "7", "-workers", "4", "-json"}
 	var out bytes.Buffer
-	err := cmdFuzz(context.Background(), append(extra, base...), &out)
+	err := runCmd("fuzz", append(extra, base...), &out)
 	if err != nil {
-		t.Fatalf("cmdFuzz(%v): %v\n%s", extra, err, out.String())
+		t.Fatalf("fuzz %v: %v\n%s", extra, err, out.String())
 	}
 	var rec record
 	if err := json.Unmarshal(out.Bytes(), &rec); err != nil {
@@ -326,7 +338,7 @@ func TestFuzzCheckpointCrashResume(t *testing.T) {
 	base := []string{"-target", "consensus", "-n", "3", "-steps", "60",
 		"-schedules", "30", "-seed", "7", "-workers", "4", "-json"}
 	var out bytes.Buffer
-	err := cmdFuzz(context.Background(), append([]string{"-checkpoint", ck, "-chaos", "trunc@9"}, base...), &out)
+	err := runCmd("fuzz", append([]string{"-checkpoint", ck, "-chaos", "trunc@9"}, base...), &out)
 	var ie *campaign.InterruptedError
 	if !errors.As(err, &ie) {
 		t.Fatalf("chaos run returned %v, want InterruptedError", err)
@@ -389,15 +401,15 @@ func TestFuzzProcWorkersSurviveKills(t *testing.T) {
 func TestResilienceFlagValidation(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	err := cmdFuzz(context.Background(), []string{"-resume", "-schedules", "4"}, &out)
+	err := runCmd("fuzz", []string{"-resume", "-schedules", "4"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
 		t.Errorf("-resume without -checkpoint: %v", err)
 	}
-	err = cmdFuzz(context.Background(), []string{"-chaos", "explode@3", "-schedules", "4"}, &out)
+	err = runCmd("fuzz", []string{"-chaos", "explode@3", "-schedules", "4"}, &out)
 	if err == nil {
 		t.Error("bad -chaos plan accepted")
 	}
-	err = cmdExhaustive(context.Background(), []string{"-checkpoint", filepath.Join(t.TempDir(), "ck"), "-depth", "3"}, &out)
+	err = runCmd("exhaustive", []string{"-checkpoint", filepath.Join(t.TempDir(), "ck"), "-depth", "3"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "-reduce=false") {
 		t.Errorf("reduced exhaustive with -checkpoint: %v", err)
 	}
@@ -441,10 +453,10 @@ func TestCheckDegraded(t *testing.T) {
 func TestPprofFlagSmoke(t *testing.T) {
 	var plain, instrumented bytes.Buffer
 	args := []string{"-n", "3", "-schedules", "6", "-steps", "200", "-json"}
-	if err := cmdRelations(context.Background(), args, &plain); err != nil {
+	if err := runCmd("relations", args, &plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdRelations(context.Background(), append([]string{"-pprof", "127.0.0.1:0"}, args...), &instrumented); err != nil {
+	if err := runCmd("relations", append([]string{"-pprof", "127.0.0.1:0"}, args...), &instrumented); err != nil {
 		t.Fatal(err)
 	}
 	var p, i map[string]json.RawMessage
@@ -456,5 +468,134 @@ func TestPprofFlagSmoke(t *testing.T) {
 	}
 	if string(p["summary"]) != string(i["summary"]) {
 		t.Fatalf("-pprof changed the summary:\n%s\n%s", p["summary"], i["summary"])
+	}
+}
+
+// goldenCases pin each subcommand's stdout, recorded from the CLI before
+// its subcommands moved into one table: testdata/<file>.txt is the human
+// output with the wall-clock "(workers=W, X.XXXs)" masked, and
+// testdata/<file>.json the -json output with elapsed_ns zeroed.
+var goldenCases = []struct {
+	file, sub string
+	args      []string
+}{
+	{"matrix", "matrix", []string{"-t", "1", "-k", "1", "-n", "2", "-posbudget", "500000", "-negbudget", "20000", "-workers", "2"}},
+	{"fuzz", "fuzz", []string{"-target", "consensus", "-n", "3", "-steps", "60", "-schedules", "20", "-seed", "7", "-workers", "2"}},
+	{"exhaustive", "exhaustive", []string{"-target", "commitadopt", "-n", "2", "-depth", "6"}},
+	{"exhaustive-full", "exhaustive", []string{"-target", "commitadopt", "-n", "2", "-depth", "6", "-reduce=false", "-workers", "2"}},
+	{"converge", "converge", []string{"-n", "3", "-k", "1", "-t", "1", "-trials", "3", "-workers", "2"}},
+	{"relations", "relations", []string{"-n", "3", "-steps", "200", "-schedules", "8", "-workers", "2"}},
+	{"adversarial", "adversarial", []string{"-n", "3", "-runs", "4", "-steps", "20000", "-workers", "2", "-flight", "16"}},
+	{"byzantine", "byzantine", []string{"-target", "consensus", "-n", "3", "-crash", "0:1", "-byz", "0:1", "-runs", "4", "-steps", "5000", "-flight", "16", "-workers", "2"}},
+	{"netconv", "netconv", []string{"-n", "3", "-runs", "4", "-steps", "2000", "-workers", "2"}},
+	{"monitor", "monitor", []string{"-n", "3", "-steps", "600", "-every", "250", "-window", "64", "-seed", "3"}},
+}
+
+var (
+	wallClock = regexp.MustCompile(`\(workers=\d+, \d+\.\d{3}s\)`)
+	elapsedNS = regexp.MustCompile(`"elapsed_ns":\d+`)
+)
+
+func TestGoldenOutput(t *testing.T) {
+	t.Parallel()
+	covered := make(map[string]bool)
+	for _, gc := range goldenCases {
+		covered[gc.sub] = true
+		for _, mode := range []struct {
+			ext  string
+			args []string
+			mask func([]byte) []byte
+		}{
+			{".txt", gc.args, func(b []byte) []byte { return wallClock.ReplaceAll(b, []byte("(workers=W, X.XXXs)")) }},
+			{".json", slices.Concat(gc.args, []string{"-json"}), func(b []byte) []byte { return elapsedNS.ReplaceAll(b, []byte(`"elapsed_ns":0`)) }},
+		} {
+			t.Run(gc.file+mode.ext, func(t *testing.T) {
+				t.Parallel()
+				want, err := os.ReadFile(filepath.Join("testdata", gc.file+mode.ext))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out bytes.Buffer
+				if err := runCmd(gc.sub, mode.args, &out); err != nil {
+					t.Fatalf("%s %v: %v", gc.sub, mode.args, err)
+				}
+				if got := mode.mask(out.Bytes()); !bytes.Equal(got, want) {
+					t.Errorf("%s %v: output differs from the golden\ngot:\n%s\nwant:\n%s", gc.sub, mode.args, got, want)
+				}
+			})
+		}
+	}
+	for _, sc := range subcommands {
+		if !covered[sc.name] {
+			t.Errorf("subcommand %s has no golden case", sc.name)
+		}
+	}
+}
+
+// TestBadFlagReturnsUsageError: a flag no entry knows, and -h, come back
+// from the driver as a *usageError instead of exiting the process.
+func TestBadFlagReturnsUsageError(t *testing.T) {
+	t.Parallel()
+	for _, sc := range subcommands {
+		for _, arg := range []string{"-no-such-flag", "-h"} {
+			err := runCmd(sc.name, []string{arg}, io.Discard)
+			var ue *usageError
+			if !errors.As(err, &ue) {
+				t.Errorf("%s %s: error = %v, want a usage error", sc.name, arg, err)
+			} else if help := errors.Is(ue.err, flag.ErrHelp); help != (arg == "-h") {
+				t.Errorf("%s %s: usage error %v", sc.name, arg, ue.err)
+			}
+		}
+	}
+}
+
+// TestMisuseRejected: flags a subcommand would ignore are refused (usage
+// errors for flags it does not register, errors for the reduced sweep's
+// engine flags), and out-of-range counts fail with an error instead of a
+// panic or an empty campaign. A refused -jsonl leaves no file behind.
+func TestMisuseRejected(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	jsonl := filepath.Join(dir, "out.jsonl")
+	reduced := []string{"exhaustive", "-target", "consensus", "-n", "2", "-depth", "6"}
+	for _, tc := range []struct {
+		args  []string
+		usage bool
+	}{
+		{[]string{"monitor", "-n", "3", "-steps", "100", "-checkpoint", filepath.Join(dir, "ck.jsonl")}, true},
+		{[]string{"monitor", "-n", "3", "-steps", "100", "-jsonl", jsonl}, true},
+		{[]string{"monitor", "-n", "3", "-steps", "100", "-procs", "2"}, true},
+		{[]string{"monitor", "-n", "3", "-steps", "100", "-workers", "2"}, true},
+		{slices.Concat(reduced, []string{"-jsonl", jsonl}), false},
+		{slices.Concat(reduced, []string{"-workers", "3"}), false},
+		{slices.Concat(reduced, []string{"-progress", "1"}), false},
+		{[]string{"fuzz", "-schedules", "4", "-flight", "32"}, true},
+		{[]string{"converge", "-trials", "2", "-flight", "32"}, true},
+		{[]string{"matrix", "-flight", "32"}, true},
+		{[]string{"relations", "-flight", "32"}, true},
+		{[]string{"netconv", "-flight", "32"}, true},
+		{[]string{"exhaustive", "-reduce=false", "-flight", "32"}, true},
+		{[]string{"monitor", "-flight", "32"}, true},
+		{[]string{"converge", "-n", "3", "-k", "1", "-t", "1", "-trials", "-2"}, false},
+		{[]string{"converge", "-n", "3", "-k", "1", "-t", "1", "-trials", "0"}, false},
+		{[]string{"converge", "-n", "3", "-k", "1", "-t", "1", "-trials", "2", "-maxsteps", "-1"}, false},
+		{[]string{"relations", "-n", "3", "-schedules", "-1"}, false},
+		{[]string{"relations", "-n", "3", "-schedules", "0"}, false},
+		{[]string{"relations", "-n", "3", "-schedules", "2", "-steps", "-5"}, false},
+		{[]string{"relations", "-n", "3", "-schedules", "2", "-bound", "-1"}, false},
+		{[]string{"fuzz", "-schedules", "-1"}, false},
+		{[]string{"fuzz", "-schedules", "0"}, false},
+		{[]string{"fuzz", "-schedules", "2", "-steps", "-4"}, false},
+		{[]string{"fuzz", "-schedules", "2", "-steps", "0"}, false},
+	} {
+		err := runCmd(tc.args[0], tc.args[1:], io.Discard)
+		var ue *usageError
+		if err == nil || errors.As(err, &ue) != tc.usage {
+			t.Errorf("%v: error = %v, want a usage error: %v", tc.args, err, tc.usage)
+		}
+		if _, serr := os.Stat(jsonl); !errors.Is(serr, os.ErrNotExist) {
+			t.Errorf("%v: -jsonl file left behind (stat: %v)", tc.args, serr)
+			os.Remove(jsonl)
+		}
 	}
 }

@@ -21,7 +21,7 @@ type ConvergenceConfig struct {
 	N, K, T int
 	// Bound is the Definition 1 constant enforced by the generator; 0 means 4.
 	Bound int
-	// Trials is the number of independent runs.
+	// Trials is the number of independent runs (≥ 1).
 	Trials int
 	// MaxSteps bounds each run; 0 means 2,000,000.
 	MaxSteps int
@@ -41,6 +41,9 @@ func RunConvergenceSweep(ctx context.Context, cfg ConvergenceConfig, seed int64,
 	acfg := antiomega.Config{N: cfg.N, K: cfg.K, T: cfg.T}
 	if err := acfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Trials < 1 || cfg.MaxSteps < 0 || cfg.Bound < 0 {
+		return nil, fmt.Errorf("experiments: convergence sweep needs trials ≥ 1, maxsteps ≥ 0 and bound ≥ 0 (0 = default), got %d, %d and %d", cfg.Trials, cfg.MaxSteps, cfg.Bound)
 	}
 	bound := cfg.Bound
 	if bound == 0 {
@@ -104,7 +107,7 @@ type RelationsConfig struct {
 	Bound int
 	// Steps is the prefix length analyzed per schedule; 0 means 2000.
 	Steps int
-	// Schedules is the population size.
+	// Schedules is the population size (≥ 1).
 	Schedules int
 	// Generator picks the population: "random", "starver", or "mixed"
 	// (alternating); "" means random.
@@ -122,6 +125,9 @@ func RelationKey(i, j int) string { return fmt.Sprintf("S^%d_%d", i, j) }
 func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, onResult func(campaign.Outcome)) (*campaign.Report, error) {
 	if cfg.N < 2 || cfg.N > 6 {
 		return nil, fmt.Errorf("experiments: relations extraction supports 2 ≤ n ≤ 6, got %d", cfg.N)
+	}
+	if cfg.Schedules < 1 || cfg.Steps < 0 || cfg.Bound < 0 {
+		return nil, fmt.Errorf("experiments: relations extraction needs schedules ≥ 1, steps ≥ 0 and bound ≥ 0 (0 = default), got %d, %d and %d", cfg.Schedules, cfg.Steps, cfg.Bound)
 	}
 	bound := cfg.Bound
 	if bound == 0 {

@@ -360,9 +360,12 @@ func fuzzSpace(n, steps, seeds int, base int64, crashPatterns []map[procset.ID]i
 // FuzzPooledCampaign shards seeded random fuzzing across workers (0 means
 // GOMAXPROCS): seeds schedules of steps steps from base seed base, each run
 // under every crash pattern (nil for failure-free only), on reusable Runs
-// from build. It returns the number of runs executed and the first
-// violation, if any.
+// from build; steps and seeds must be ≥ 1. It returns the number of runs
+// executed and the first violation, if any.
 func FuzzPooledCampaign(ctx context.Context, workers, n, steps, seeds int, base int64, crashPatterns []map[procset.ID]int, build PooledBuilder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
+	if steps < 1 || seeds < 1 {
+		return nil, 0, fmt.Errorf("explore: fuzz campaign needs steps ≥ 1 and seeds ≥ 1, got %d and %d", steps, seeds)
+	}
 	total, nth, err := fuzzSpace(n, steps, seeds, base, crashPatterns)
 	if err != nil {
 		return nil, 0, err
